@@ -36,11 +36,9 @@ sanitize:
 	PYTHONPATH=src python -m repro sanitize
 
 # The pre-PR gate: static analysis, contract verification against the
-# engine (plus a 2-worker sharded-equivalence leg — every shipped
-# program bit-identical across shard processes), race-sanitized runs,
-# then the tier-1 test suite.  Run before every PR.
+# engine, numerics certification, race-sanitized runs, then the tier-1
+# test suite.  Run before every PR.
 check: lint verify-contracts certify-numerics sanitize
-	PYTHONPATH=src python -m repro verify-contracts --engine sharded --workers 2
 	PYTHONPATH=src python -m pytest -x -q
 
 # Observed DES solve: per-phase cycle table + iteration telemetry on
@@ -69,11 +67,7 @@ profile:
 # attached overhead (BENCH_profile.json, <25% gate + conservation).
 # The sixth times the numerics pass (abstract interpretation + contract
 # synthesis) on a 48x48 2D-mapped program and a 512-tile 3D program
-# (BENCH_numerics.json).  The seventh compares the multi-process
-# sharded engine against single-process active at 2 and 4 workers
-# (BENCH_shard.json): equivalence is a hard gate everywhere, the
-# >= 2.5x speedup gate only binds on hosts with >= 4 CPUs.  Finally
-# every BENCH_*.json gets a one-line summary appended to the
+# (BENCH_numerics.json).  Finally every BENCH_*.json gets a one-line summary appended to the
 # BENCH_history.jsonl ledger (see `make bench-compare`).
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_des_engine.py --quick
@@ -82,7 +76,6 @@ bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_replay.py --quick
 	PYTHONPATH=src python benchmarks/bench_profile.py --quick
 	PYTHONPATH=src python benchmarks/bench_numerics.py --quick
-	PYTHONPATH=src python benchmarks/bench_shard.py --quick
 	PYTHONPATH=src python -m repro bench-history
 
 # Regression gate: hold the current BENCH_*.json files against the

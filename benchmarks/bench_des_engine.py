@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import RunOptions
 from repro.kernels.bicgstab_des import DESBiCGStab
 from repro.problems import momentum_system
 from repro.wse import dsr
@@ -85,7 +86,8 @@ def run_legacy(op, b) -> dict:
     per-element instruction stepping."""
     dsr.LEGACY_ELEMENTWISE = True
     try:
-        solver = DESBiCGStab(op, engine="reference", persistent=False)
+        solver = DESBiCGStab(
+            op, persistent=False, options=RunOptions(engine="reference"))
         t0 = time.perf_counter()
         res = solver.solve(b, rtol=RTOL, maxiter=MAXITER)
         wall = time.perf_counter() - t0
@@ -113,7 +115,8 @@ def run_active(op, b) -> dict:
     """The active-set engine with persistent fabrics and the unified
     wafer timeline.  The first solve builds and warms the engines
     (reported as setup); the measured solve is steady state."""
-    solver = DESBiCGStab(op, engine="active", persistent=True)
+    solver = DESBiCGStab(op, persistent=True,
+                         options=RunOptions(engine="active"))
     t0 = time.perf_counter()
     solver.solve(b, rtol=RTOL, maxiter=MAXITER)
     setup = time.perf_counter() - t0

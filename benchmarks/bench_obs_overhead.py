@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import RunOptions
 from repro.kernels.bicgstab_des import DESBiCGStab
 from repro.obs import ObsSession
 from repro.problems import momentum_system
@@ -62,7 +63,8 @@ def _fabric_cycles(solver: DESBiCGStab) -> int:
 
 def _measure(op, b, obs: ObsSession | None) -> dict:
     """One warmed, measured solve; returns timing plus checkables."""
-    solver = DESBiCGStab(op, engine="active", persistent=True, obs=obs)
+    solver = DESBiCGStab(op, persistent=True,
+                         options=RunOptions(engine="active", obs=obs))
     solver.solve(b, rtol=RTOL, maxiter=MAXITER)  # build + warm engines
     before = _fabric_cycles(solver)
     t0 = time.perf_counter()

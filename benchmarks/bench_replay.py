@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import RunOptions
 from repro.kernels.bicgstab_des import DESBiCGStab
 from repro.problems import momentum_system
 
@@ -86,7 +87,8 @@ def _kernel_cycles(rep) -> dict:
 def run_engine(engine: str, op, b) -> dict:
     """One warm-up solve (engine construction; for replay, recording),
     then one measured steady-state solve."""
-    solver = DESBiCGStab(op, engine=engine, persistent=True)
+    solver = DESBiCGStab(op, persistent=True,
+                         options=RunOptions(engine=engine))
     t0 = time.perf_counter()
     res1 = solver.solve(b, rtol=RTOL, maxiter=MAXITER)
     setup = time.perf_counter() - t0

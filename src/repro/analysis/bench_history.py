@@ -50,7 +50,6 @@ _CPS_KEYS = {
     "obs_overhead": ("off", "cycles_per_second"),
     "profile_overhead": ("off", "cycles_per_second"),
     "bicgstab_replay_engine": ("replay", "cycles_per_second"),
-    "sharded_des_engine": ("sharded_4w", "cycles_per_second"),
 }
 
 

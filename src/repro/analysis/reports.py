@@ -392,7 +392,7 @@ def energy_report() -> str:
     )
 
 
-def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> str:
+def des_scale_report(shape=(16, 16, 2), engine="active") -> str:
     """BiCGStab on the word-level simulator at 256 tiles (16 x 16).
 
     The largest fabric exercised anywhere else in the suite is 8 x 8
@@ -402,8 +402,7 @@ def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> str:
     reports the engine's observability counters alongside the solve.
     ``engine`` selects the stepping engine (``python -m repro des-scale
     --engine replay`` records iteration 1 and replays the rest as
-    compiled NumPy schedules; ``--engine sharded --workers N`` steps the
-    fabrics through N shard processes, bit-identically).
+    compiled NumPy schedules).
     """
     import time
 
@@ -414,12 +413,11 @@ def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> str:
     sys_ = momentum_system(shape, reynolds=50.0, dt=0.02)
     solver = DESBiCGStab(
         sys_.operator, persistent=True,
-        options=RunOptions(engine=engine, workers=workers),
+        options=RunOptions(engine=engine),
     )
     t0 = time.perf_counter()
     res = solver.solve(sys_.b, rtol=5e-3, maxiter=30)
     wall = time.perf_counter() - t0
-    solver.close()
     rep = solver.report
     cycles = skipped = words = 0
     peak_r = peak_c = router_cycles = core_cycles = 0
@@ -455,8 +453,7 @@ def des_scale_report(shape=(16, 16, 2), engine="active", workers=1) -> str:
             ("wall seconds", round(wall, 2)),
             ("cycles / second", round(cycles / wall, 0)),
         ],
-        title=f"event-driven DES at 16x16 ({engine} engine"
-              + (f", {workers} workers)" if engine == "sharded" else ")"),
+        title=f"event-driven DES at 16x16 ({engine} engine)",
     )
     if engine == "replay":
         extra = []

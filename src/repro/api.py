@@ -2,39 +2,29 @@
 
 Every DES entry point in this repo answers two separate questions:
 *what* to execute (an operator, a vector, a block shape — the program)
-and *how* to execute it (which stepping engine, how many shard workers,
-whether to race-sanitize, observe, or profile).  Historically the
-"how" leaked into each runner as an ad-hoc kwarg set (``engine=``,
-``analyze=``, ``obs=``) that drifted between entry points; with the
-sharded engine adding ``workers=`` the drift would have doubled.
-
-:class:`RunOptions` freezes the "how" into a single validated value
-object, and :class:`Session` provides the one-call facade::
+and *how* to execute it (which stepping engine, whether to
+race-sanitize, analyze, or observe).  :class:`RunOptions` freezes the
+"how" into a single validated value object, and :class:`Session`
+provides the one-call facade::
 
     from repro.api import RunOptions, Session, Spmv3D
 
-    opts = RunOptions(engine="sharded", workers=4)
+    opts = RunOptions(engine="replay")
     u, cycles = Session(opts).run(Spmv3D(op, v))
 
 All shipped runners (``run_spmv_des``, ``run_spmv2d_des``,
 ``run_axpy_des``, ``run_dot_des``, :class:`~repro.kernels.spmv3d.SpmvEngine`,
 :class:`~repro.wse.allreduce.AllReduceEngine`,
-:class:`~repro.kernels.bicgstab_des.DESBiCGStab`) consume
-:class:`RunOptions` internally; their legacy keywords still work but
-emit :class:`DeprecationWarning` via :func:`coerce_options`.
-
-Removal schedule
-----------------
-The legacy keywords (``engine=``, ``analyze=``, ``obs=``, plus
-positional spellings) are deprecated as of PR 10 and will be removed
-two PRs later (PR 12).  Migrate by passing ``options=RunOptions(...)``
-— see ``docs/parallel.md`` ("Migrating to repro.api").
+:func:`~repro.wse.allreduce.simulate_allreduce`,
+:class:`~repro.kernels.bicgstab_des.DESBiCGStab`) take their execution
+settings only as ``options=RunOptions(...)``; how an engine name turns
+into live stepping or compiled replay is decided in
+:mod:`repro.wse.execute`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -48,20 +38,20 @@ __all__ = [
     "Dot",
     "AllReduce",
     "add_engine_arguments",
-    "coerce_options",
     "options_from_args",
 ]
 
-#: The four stepping engines, in fidelity order: the naive full-grid
-#: reference sweep, the event-driven active-set engine, the
-#: record-once/replay-many compiled engine, and the multi-process
-#: sharded engine (conservative barrier PDES over the active engine).
-ENGINES = ("reference", "active", "replay", "sharded")
+#: The three stepping engines, in fidelity order: the naive full-grid
+#: reference sweep, the event-driven active-set engine, and the
+#: record-once/replay-many compiled engine (see :mod:`repro.wse.execute`).
+ENGINES = ("reference", "active", "replay")
 
-_REMOVAL_NOTE = (
-    "deprecated since PR 10 and will be removed in PR 12; pass "
-    "options=repro.api.RunOptions(...) instead (see docs/parallel.md, "
-    "'Migrating to repro.api')"
+#: Why the race sanitizer cannot run under ``engine="replay"``; shared
+#: with ``python -m repro sanitize``.
+SANITIZE_REPLAY_REASON = (
+    "the race sanitizer instruments live whole-fabric stepping, which "
+    "replay skips (sanitize under active — the other engines are "
+    "bit-identical to it)"
 )
 
 
@@ -72,140 +62,65 @@ class RunOptions:
     Parameters
     ----------
     engine:
-        One of :data:`ENGINES`.  ``"sharded"`` partitions the fabric
-        into contiguous rectangles and steps each in its own process
-        (:mod:`repro.wse.shard`); results are bit-identical to
-        ``"active"``.
+        One of :data:`ENGINES`.
     sanitize:
-        Attach the runtime race sanitizer for the run.  Unsupported
-        under ``engine="sharded"`` (the sanitizer's happens-before
-        graph is whole-fabric; run the sanitized pass under
-        ``engine="active"`` — sharded runs are bit-identical anyway).
+        Attach the runtime race sanitizer to every live run.
+        Unsupported under ``engine="replay"``
+        (:data:`SANITIZE_REPLAY_REASON`).
     analyze:
         Statically verify the tile program at build time
         (:func:`repro.wse.analyze.analyze_program`) instead of only
         computing its contract.
     obs:
         Optional :class:`repro.obs.ObsSession` receiving fabric
-        observers and kernel trace spans.
-    profile:
-        Attach the cycle profiler (requires ``obs``); unsupported under
-        ``engine="sharded"`` for the same reason as ``sanitize``.
-    workers:
-        Shard-worker process count; only meaningful (and only legal
-        above 1) with ``engine="sharded"``.  Clamped to the fabric's
-        splittable extent at run time.
+        observers and kernel trace spans (``ObsSession(profile=True)``
+        also attaches the cycle profiler).
     """
 
     engine: str = "active"
     sanitize: bool = False
     analyze: bool = False
     obs: Any = None
-    profile: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(f"workers must be a positive int, got "
-                             f"{self.workers!r}")
-        if self.engine == "sharded":
-            if self.sanitize:
-                raise ValueError(
-                    "engine='sharded' does not support sanitize=True; the "
-                    "race sanitizer needs the whole-fabric happens-before "
-                    "graph — run the sanitized pass under engine='active' "
-                    "(sharded runs are bit-identical to it)"
-                )
-            if self.profile:
-                raise ValueError(
-                    "engine='sharded' does not support profile=True; "
-                    "profile under engine='active' (sharded runs are "
-                    "bit-identical to it)"
-                )
-        elif self.workers != 1:
+        if self.sanitize and self.engine == "replay":
             raise ValueError(
-                f"workers={self.workers} requires engine='sharded' "
-                f"(got engine={self.engine!r})"
+                f"engine='replay' does not support sanitize=True: "
+                f"{SANITIZE_REPLAY_REASON}"
             )
-        if self.profile and self.obs is None:
-            raise ValueError("profile=True requires an obs session")
 
     def replace(self, **changes) -> "RunOptions":
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
 
-def coerce_options(options: RunOptions | None = None, caller: str = "run",
-                   **legacy) -> RunOptions:
-    """Normalize a runner's arguments into one :class:`RunOptions`.
-
-    Runners call this with their (possibly ``None``-defaulted) legacy
-    keywords; any legacy value actually supplied emits a
-    :class:`DeprecationWarning` naming the caller and the removal
-    schedule.  Passing both ``options=`` and a legacy keyword is an
-    error — the call would be ambiguous.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    unknown = set(supplied) - set(RunOptions.__dataclass_fields__)
-    if unknown:
-        raise TypeError(f"{caller}: unknown option(s) {sorted(unknown)}")
-    if options is not None:
-        if not isinstance(options, RunOptions):
-            raise TypeError(
-                f"{caller}: options must be a repro.api.RunOptions, "
-                f"got {type(options).__name__}"
-            )
-        if supplied:
-            raise TypeError(
-                f"{caller}: pass either options=RunOptions(...) or the "
-                f"legacy keyword(s) {sorted(supplied)}, not both"
-            )
-        return options
-    if supplied:
-        warnings.warn(
-            f"{caller}: the {sorted(supplied)} keyword(s) are "
-            f"{_REMOVAL_NOTE}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return RunOptions(**supplied)
-    return RunOptions()
-
-
 # ----------------------------------------------------------------------
-# Shared CLI fragment — one spelling of --engine/--workers/--json for
-# every ``python -m repro`` subcommand that runs fabric programs.
+# Shared CLI fragment — one spelling of --engine/--json for every
+# ``python -m repro`` subcommand that runs fabric programs.
 # ----------------------------------------------------------------------
 def add_engine_arguments(parser, *, default: str = "active",
                          extra_choices: tuple = (),
                          engine: bool = True,
-                         workers: bool = True,
                          json_flag: bool = False) -> None:
     """Install the standard execution flags on an argparse parser.
 
-    ``--engine`` offers the four engines (plus any subcommand
-    aggregates like ``both``/``all`` via ``extra_choices``),
-    ``--workers N`` selects the shard process count, and ``--json``
-    (opt-in per subcommand) requests machine-readable output.  Flag
-    spellings are frozen here so every subcommand stays consistent;
-    subcommands that cannot execute a particular engine reject it after
-    parsing with an explanation rather than hiding the choice.
+    ``--engine`` offers the three engines (plus any subcommand
+    aggregates like ``both``/``all`` via ``extra_choices``), and
+    ``--json`` (opt-in per subcommand) requests machine-readable
+    output.  Flag spellings are frozen here so every subcommand stays
+    consistent; subcommands that cannot execute a particular engine
+    reject it after parsing with an explanation rather than hiding the
+    choice.
     """
     if engine:
         parser.add_argument(
             "--engine", choices=ENGINES + tuple(extra_choices),
             default=default,
             help=f"fabric stepping engine (default: {default})",
-        )
-    if workers:
-        parser.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help="shard worker processes for --engine sharded "
-            "(default: 1; clamped to the fabric's splittable extent)",
         )
     if json_flag:
         parser.add_argument(
@@ -217,13 +132,11 @@ def add_engine_arguments(parser, *, default: str = "active",
 def options_from_args(args, **overrides) -> RunOptions:
     """Build a :class:`RunOptions` from a parsed argparse namespace.
 
-    Reads ``engine`` and ``workers`` (when present) and applies
-    ``overrides`` on top.  Aggregate engine spellings (``both``/``all``)
-    must be expanded by the subcommand before calling this.
+    Reads ``engine`` (when present) and applies ``overrides`` on top.
+    Aggregate engine spellings (``both``/``all``) must be expanded by
+    the subcommand before calling this.
     """
     fields = {"engine": getattr(args, "engine", "active")}
-    w = getattr(args, "workers", 1)
-    fields["workers"] = w if fields["engine"] == "sharded" else 1
     fields.update(overrides)
     return RunOptions(**fields)
 

@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="experiments_regenerated.md",
         help="output path for write-report",
     )
-    # The shared --engine/--workers fragment; only des-scale consumes
-    # them among the report subcommands (default None detects "given").
+    # The shared --engine flag; only des-scale consumes it among the
+    # report subcommands (default None detects "given").
     add_engine_arguments(parser, default=None)
     return parser
 
@@ -122,14 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown report {name!r}\n", file=sys.stderr)
         print(_describe(), file=sys.stderr)
         return 2
-    if args.engine is not None or args.workers != 1:
+    if args.engine is not None:
         if name != "des-scale":
-            print("--engine/--workers only apply to des-scale",
-                  file=sys.stderr)
+            print("--engine only applies to des-scale", file=sys.stderr)
             return 2
-        engine = args.engine or "active"
-        workers = args.workers if engine == "sharded" else 1
-        print(fn(engine=engine, workers=workers))
+        print(fn(engine=args.engine))
         return 0
     print(fn())
     return 0

@@ -12,13 +12,14 @@ This mode exists to *validate* the functional solver and the analytic
 model (tests assert all three agree); it is usable for meshes up to a
 few thousand points.
 
-Pass an :class:`repro.obs.ObsSession` as ``obs=`` to observe a solve:
-every kernel call is recorded as a phase span (``spmv`` / ``allreduce``
-/ ``axpy`` / ``dot_local``, which tile the unified wafer timeline
-exactly), each iteration as an enclosing ``iteration[k]`` span carrying
-residual/rho/omega, the persistent fabrics stream per-cycle metrics
-through ``fabric.obs``, and the whole record exports to
-Chrome-trace/Perfetto JSON (see ``docs/observability.md``).
+Pass an :class:`repro.obs.ObsSession` as ``RunOptions(obs=...)`` to
+observe a solve: every kernel call is recorded as a phase span
+(``spmv`` / ``allreduce`` / ``axpy`` / ``dot_local``, which tile the
+unified wafer timeline exactly), each iteration as an enclosing
+``iteration[k]`` span carrying residual/rho/omega, the persistent
+fabrics stream per-cycle metrics through ``fabric.obs``, and the whole
+record exports to Chrome-trace/Perfetto JSON (see
+``docs/observability.md``).
 
 With ``ObsSession(profile=True)`` each persistent fabric additionally
 carries a :class:`repro.obs.profile.CycleProfiler`.  The lockstep
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..api import RunOptions, coerce_options
+from ..api import RunOptions
 from ..obs import ObsSession
 from ..precision import Precision, spec_for
 from ..problems.stencil7 import Stencil7
@@ -89,55 +90,38 @@ class DESBiCGStab:
     config:
         Machine constants (SIMD width for the AXPY/dot cycle charges).
     options:
-        A :class:`repro.api.RunOptions` bundle controlling execution
-        (engine, workers, obs, analyze).  The bare ``analyze=`` /
-        ``engine=`` / ``obs=`` fields below are deprecated spellings of
-        the same thing and may not be combined with ``options``.
-    analyze:
-        When True, statically verify the SpMV tile program at
-        construction time — a probe fabric is built (no cycles run) and
-        passed through :func:`repro.wse.analyze.analyze_program`, so a
-        defective program raises before the first solve.
-    engine:
-        Kernel execution engine: ``"active"`` (event-driven active-set
-        sweep, the default), ``"reference"`` (the naive full-fabric
-        sweep kept for equivalence checking), ``"replay"`` (record
-        the first iteration's kernel schedules on the active engine,
-        replay later iterations as compiled vectorized array programs;
-        requires ``persistent=True``), or ``"sharded"`` (the active
-        engine partitioned across ``options.workers`` processes; see
-        :mod:`repro.wse.shard`).  Replay falls back to the live
-        engine on any program the analyzer cannot prove
-        schedule-deterministic, and on any cache invalidation.
+        A :class:`repro.api.RunOptions` bundle controlling execution.
+        ``analyze=True`` statically verifies the SpMV tile program at
+        construction time (a probe fabric is built, no cycles run, so a
+        defective program raises before the first solve).  The engine
+        is ``"active"`` (event-driven active-set sweep, the default),
+        ``"reference"`` (the naive full-fabric sweep kept for
+        equivalence checking), or ``"replay"`` (record the first
+        iteration's kernel schedules on the active engine, replay later
+        iterations as compiled vectorized array programs; requires
+        ``persistent=True``).  Replay falls back to the live engine on
+        any program the analyzer cannot prove schedule-deterministic,
+        and on any cache invalidation.  ``obs`` (an
+        :class:`repro.obs.ObsSession`) makes the solver emit phase and
+        iteration spans on the unified wafer timeline, record
+        per-iteration telemetry, and attach fabric observers to the
+        persistent engines; ``None`` (default) costs nothing.
     persistent:
         When True (default), build one :class:`SpmvEngine` and one
         :class:`AllReduceEngine` at first use and re-run them for every
         kernel call.  When False, each SpMV/AllReduce builds a fresh
         fabric — the original call pattern, kept so the benchmark can
         measure what persistence buys.
-    obs:
-        Optional :class:`repro.obs.ObsSession`.  When given, the solver
-        emits phase and iteration spans on the unified wafer timeline,
-        records per-iteration telemetry, and attaches fabric observers
-        to the persistent engines.  ``None`` (default) costs nothing.
     """
 
     operator: Stencil7
     config: MachineConfig = field(default_factory=lambda: CS1)
-    analyze: bool | None = None
-    engine: str | None = None
     persistent: bool = True
-    obs: ObsSession | None = None
-    options: RunOptions | None = None
+    options: RunOptions = field(default_factory=RunOptions)
 
     def __post_init__(self) -> None:
-        opts = coerce_options(self.options, caller="DESBiCGStab",
-                              engine=self.engine, analyze=self.analyze,
-                              obs=self.obs)
-        self.options = opts
-        self.engine = opts.engine
-        self.analyze = opts.analyze
-        self.obs = opts.obs
+        self.engine = self.options.engine
+        self.obs: ObsSession | None = self.options.obs
         if not self.operator.has_unit_diagonal:
             raise ValueError(
                 "DES BiCGStab requires a Jacobi-preconditioned operator"
@@ -147,7 +131,7 @@ class DESBiCGStab:
                 "engine='replay' records a persistent program once and "
                 "replays it; it requires persistent=True"
             )
-        if self.analyze:
+        if self.options.analyze:
             build_spmv_fabric(
                 self.operator, np.zeros(self.operator.shape),
                 self.config, analyze=True,
@@ -186,7 +170,7 @@ class DESBiCGStab:
     # ------------------------------------------------------------------
     # Unified timeline (persistent mode)
     # ------------------------------------------------------------------
-    def _sync(self, fabric, executor=None) -> None:
+    def _sync(self, fabric) -> None:
         """Fast-forward a persistent fabric to the solve's current cycle.
 
         Both persistent fabrics live on one wafer clock: while one runs a
@@ -197,10 +181,6 @@ class DESBiCGStab:
         in ``FabricStats.skipped_cycles``.  The pre-PR engine had no
         equivalent — simulating the same timeline costs it a full-fabric
         sweep per idle cycle.
-
-        Under ``engine="sharded"`` the skip must also advance the shard
-        workers' clocks, so it is routed through the engine's
-        :class:`~repro.wse.shard.ShardedExecutor` when one exists.
         """
         now = self.report.total_cycles
         behind = now - fabric.cycle
@@ -215,24 +195,13 @@ class DESBiCGStab:
             fabric.stats.skipped_cycles += behind
             if fabric.obs is not None:
                 fabric.obs.on_skip(behind)
-            if executor is not None:
-                executor.align_clock(behind)
             return
-        if executor is not None:
-            executor.skip(behind)
-        else:
-            fabric.skip_cycles(behind)
+        fabric.skip_cycles(behind)
 
     def close(self) -> None:
-        """Shut down the persistent engines (and any shard workers).
-
-        Optional — worker processes are also reclaimed by a finalizer
-        when the engines are garbage-collected.
-        """
-        if self._spmv_eng is not None:
-            self._spmv_eng.close()
-        if self._ar_eng is not None:
-            self._ar_eng.close()
+        """Release the solver.  The persistent engines hold no resources
+        beyond memory, so this is a no-op kept for callers that manage
+        solver lifetimes explicitly."""
 
     # ------------------------------------------------------------------
     # Simulated kernels
@@ -245,8 +214,8 @@ class DESBiCGStab:
                     self.operator, self.config,
                     options=self.options.replace(analyze=False),
                 )
-            if self.engine in ("active", "replay", "sharded"):
-                self._sync(self._spmv_eng.fabric, self._spmv_eng._executor)
+            if self.engine != "reference":
+                self._sync(self._spmv_eng.fabric)
             u, cycles = self._spmv_eng.run(v.astype(np.float16))
         else:
             u, cycles = run_spmv_des(
@@ -283,8 +252,8 @@ class DESBiCGStab:
                         self.obs.observe_fabric(
                             "allreduce", self._ar_eng.fabric
                         )
-                if self.engine in ("active", "replay", "sharded"):
-                    self._sync(self._ar_eng.fabric, self._ar_eng._executor)
+                if self.engine != "reference":
+                    self._sync(self._ar_eng.fabric)
                 total, cycles = self._ar_eng.reduce(partials.T)
             else:
                 total, cycles = simulate_allreduce(
@@ -382,13 +351,13 @@ class DESBiCGStab:
             rho = rho_new
             p = self._axpy(float(beta), self._axpy(-float(omega), s, p), r)
 
-        if self.persistent and self.engine in ("active", "replay", "sharded"):
+        if self.persistent and self.engine != "reference":
             # Close out the unified timeline: both fabrics end the solve
             # at the same wafer cycle, idle tails skipped in O(1).
             if self._spmv_eng is not None:
-                self._sync(self._spmv_eng.fabric, self._spmv_eng._executor)
+                self._sync(self._spmv_eng.fabric)
             if self._ar_eng is not None:
-                self._sync(self._ar_eng.fabric, self._ar_eng._executor)
+                self._sync(self._ar_eng.fabric)
         return SolveResult(
             x=x.astype(np.float64),
             converged=converged,

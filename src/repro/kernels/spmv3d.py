@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api import RunOptions, coerce_options
+from ..api import RunOptions
 from ..problems.stencil7 import Stencil7
 from ..wse.analyze import (
     DrainDecl,
@@ -57,6 +57,7 @@ from ..wse.channels import tile_channel
 from ..wse.config import CS1, MachineConfig
 from ..wse.core import Core
 from ..wse.dsr import Action, Completion, FabricRx, FabricTx, FifoPush, Instruction, MemCursor
+from ..wse.execute import open_replay, run_live, run_oneshot, run_persistent
 from ..wse.fabric import Fabric, Port
 
 __all__ = ["SpmvEngine", "SpmvProgram", "build_spmv_fabric", "run_spmv_des", "spmv_functional"]
@@ -459,7 +460,9 @@ class SpmvEngine:
     The hardware analogue: the routing tables and task code are loaded
     once at program start and the SpMV task is re-activated per solver
     iteration.  ``run`` updates the local iterate vectors, re-activates
-    every tile's ``spmv`` task, and returns the new result.
+    every tile's ``spmv`` task, and returns the new result.  Execution
+    is controlled by ``options`` (:class:`repro.api.RunOptions`) and
+    dispatched by :func:`repro.wse.execute.run_persistent`.
     """
 
     def __init__(
@@ -467,81 +470,39 @@ class SpmvEngine:
         op: Stencil7,
         config: MachineConfig = CS1,
         fifo_capacity: int = 20,
-        engine: str | None = None,
-        obs=None,
         obs_name: str = "spmv",
         options: RunOptions | None = None,
     ):
-        opts = coerce_options(options, caller="SpmvEngine",
-                              engine=engine, obs=obs)
-        self.options = opts
-        engine = opts.engine
-        obs = opts.obs
+        self.options = opts = options if options is not None else RunOptions()
         self.op = op
         self.fabric, self.programs = build_spmv_fabric(
             op, np.zeros(op.shape), config, fifo_capacity
-        )
-        self.engine = engine
-        # "replay" records the first run() on the live active-set engine
-        # and replays later runs as the compiled schedule; "sharded"
-        # forks shard workers that each step their rectangle with it.
-        self.fabric.engine = (
-            "active" if engine in ("replay", "sharded") else engine
         )
         self.runs = 0
         #: Optional :class:`repro.obs.ObsSession` — attached *before*
         #: the warm-up run so the observer's cycle accounting is exact
         #: (stepped + skipped == fabric.cycle) from cycle 0.
-        self.obs = obs
+        self.obs = obs = opts.obs
         if obs is not None:
             obs.observe_fabric(obs.unique_fabric_name(obs_name), self.fabric)
+        #: The :class:`~repro.wse.replay.ReplaySession` under
+        #: ``engine="replay"`` (None otherwise).  Opened before the
+        #: warm-up below: the schedule-determinism proof inspects live
+        #: activation state, which the warm-up run perturbs.
+        self.replay = open_replay(self.fabric, opts, label="spmv")
         # The build activates each tile's spmv task for a first run over
         # the zero vector; consume it so run() starts clean.
-        self.replay = None
-        #: Shard coordinator (``engine="sharded"`` only); forked on the
-        #: warm-up below so the program state rides the fork and every
-        #: later re-arm travels as pokes.
-        self._executor = None
-        if engine == "replay":
-            # Prove schedule determinism on the freshly built program
-            # (the task-graph pass inspects live activation state, which
-            # the warm-up run below perturbs).
-            from ..wse.replay import ReplaySession
-
-            self.replay = ReplaySession(self.fabric, label="spmv")
-        warm = self._execute()
+        warm = run_live(self.fabric, opts, self._finished, 200_000)
         if obs is not None:
             obs.tracer.record("spmv.warmup", self.fabric.cycle - warm, warm,
                               track="kernel:spmv", cat="kernel")
 
-    def _ensure_executor(self):
-        if self._executor is None:
-            from ..wse.shard import ShardedExecutor
-
-            nx, ny, nz = self.op.shape
-            programs = self.programs
-
-            def until_factory(rect):
-                tiles = [(i, j) for j in range(rect.y0, rect.y1)
-                         for i in range(rect.x0, rect.x1)]
-
-                def local_done(f, tiles=tiles):
-                    return f.quiescent() and all(
-                        programs[j][i].done for (i, j) in tiles
-                    )
-
-                return local_done
-
-            self._executor = ShardedExecutor(
-                self.fabric, workers=self.options.workers,
-                until_factory=until_factory,
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Release shard workers (no-op for in-process engines)."""
-        if self._executor is not None:
-            self._executor.close()
+    def _finished(self, f: Fabric) -> bool:
+        # quiescent() first: under the active-set engine it rejects in
+        # O(1) while work is in flight (same conjunction).
+        return f.quiescent() and all(
+            prog.done for row in self.programs for prog in row
+        )
 
     def _configure_recording(self, rec) -> None:
         """Register each tile's operand/coefficient arrays: ``v`` cells
@@ -572,72 +533,26 @@ class SpmvEngine:
                 base += nz
         return flat
 
-    def _execute(self) -> int:
-        nx, ny, nz = self.op.shape
-        start = self.fabric.cycle
-        if self.engine == "sharded":
-            ex = self._ensure_executor()
-            ex.run(max_cycles=200_000 + start)
-            ex.harvest()
-            return self.fabric.cycle - start
-
-        def finished(f: Fabric) -> bool:
-            # quiescent() first: under the active-set engine it rejects
-            # in O(1) while work is in flight (same conjunction).
-            return f.quiescent() and all(
-                self.programs[j][i].done for j in range(ny) for i in range(nx)
-            )
-
-        self.fabric.run(max_cycles=200_000 + start, until=finished)
-        return self.fabric.cycle - start
+    def _arm(self, v16: np.ndarray) -> None:
+        """Load the new iterate and re-activate every tile's spmv task."""
+        nz = self.op.shape[2]
+        for j, row in enumerate(self.programs):
+            for i, prog in enumerate(row):
+                prog.v[:nz] = v16[i, j, :]
+                prog.v[nz] = np.float16(0.0)
+                prog.core.flags["spmv_done"] = False
+                prog.core.scheduler.activate("spmv")
 
     def run(self, v: np.ndarray) -> tuple[np.ndarray, int]:
         """One SpMV over the persistent program; returns ``(u, cycles)``."""
         nx, ny, nz = self.op.shape
         v16 = np.asarray(v, dtype=np.float16).reshape(self.op.shape)
-        session = self.replay
-        if session is not None and session.valid():
-            cycles = session.replay({"v": self._flat_v(v16)})
-            self.runs += 1
-            if self.obs is not None:
-                self.obs.tracer.record(
-                    "spmv.run", self.fabric.cycle - cycles, cycles,
-                    track="kernel:spmv", cat="kernel",
-                    args={"run": self.runs},
-                )
-            u = np.empty(self.op.shape, dtype=np.float64)
-            for j in range(ny):
-                for i in range(nx):
-                    u[i, j, :] = self.programs[j][i].result().astype(np.float64)
-            return u, cycles
-        if self._executor is not None:
-            # Sharded re-arm: the authoritative copies live in the
-            # forked workers, so the direct writes below travel as
-            # pokes (the parent-side v update keeps this object's
-            # buffers coherent for inspection).
-            ops = []
-            for j in range(ny):
-                for i in range(nx):
-                    prog = self.programs[j][i]
-                    prog.v[:nz] = v16[i, j, :]
-                    prog.v[nz] = np.float16(0.0)
-                    ops.append(("mem_set", i, j, "v", prog.v.copy()))
-                    ops.append(("flag", i, j, "spmv_done", False))
-                    ops.append(("activate", i, j, "spmv"))
-            self._executor.poke(ops)
-        else:
-            for j in range(ny):
-                for i in range(nx):
-                    prog = self.programs[j][i]
-                    prog.v[:nz] = v16[i, j, :]
-                    prog.v[nz] = np.float16(0.0)
-                    prog.core.flags["spmv_done"] = False
-                    prog.core.scheduler.activate("spmv")
-        if session is not None and session.enabled:
-            with session.record(configure=self._configure_recording):
-                cycles = self._execute()
-        else:
-            cycles = self._execute()
+        cycles = run_persistent(
+            self.fabric, self.replay, self.options, self._finished, 200_000,
+            arm=lambda: self._arm(v16),
+            externs=lambda: {"v": self._flat_v(v16)},
+            configure=self._configure_recording,
+        )
         self.runs += 1
         if self.obs is not None:
             self.obs.tracer.record(
@@ -658,8 +573,6 @@ def run_spmv_des(
     fifo_capacity: int = 20,
     max_cycles: int = 200_000,
     two_sum_tasks: bool = False,
-    engine: str | None = None,
-    analyze: bool | None = None,
     options: RunOptions | None = None,
 ) -> tuple[np.ndarray, int]:
     """Run the discrete simulation of one SpMV; returns ``(u, cycles)``.
@@ -668,16 +581,12 @@ def run_spmv_des(
     the fp16-arithmetic 7-point matvec; the cycle count is the fabric
     cycle at which every tile's completion tree fired and the fabric
     drained.  Execution is controlled by ``options``
-    (:class:`repro.api.RunOptions`); the bare ``engine=``/``analyze=``
-    keywords are deprecated spellings of the same thing.
+    (:class:`repro.api.RunOptions`) and dispatched by
+    :func:`repro.wse.execute.run_oneshot`.
     """
-    opts = coerce_options(options, caller="run_spmv_des",
-                          engine=engine, analyze=analyze)
-    engine = opts.engine
+    opts = options if options is not None else RunOptions()
     fabric, programs = build_spmv_fabric(op, v, config, fifo_capacity,
                                          two_sum_tasks, analyze=opts.analyze)
-    replay = engine == "replay"
-    fabric.engine = "active" if engine in ("replay", "sharded") else engine
     nx, ny, nz = op.shape
     if opts.obs is not None:
         opts.obs.observe_fabric(
@@ -688,44 +597,8 @@ def run_spmv_des(
             programs[j][i].done for j in range(ny) for i in range(nx)
         )
 
-    if engine == "sharded":
-        from ..wse.shard import run_sharded
-
-        def until_factory(rect):
-            tiles = [(i, j) for j in range(rect.y0, rect.y1)
-                     for i in range(rect.x0, rect.x1)]
-
-            def local_done(f, tiles=tiles):
-                return f.quiescent() and all(
-                    programs[j][i].done for (i, j) in tiles
-                )
-
-            return local_done
-
-        cycles = run_sharded(fabric, until_factory, workers=opts.workers,
-                             max_cycles=max_cycles)
-    elif replay:
-        # One-shot runners record the single live execution and prove
-        # the compiled schedule reproduces it bit-for-bit (the recorded
-        # results themselves are returned either way).
-        from ..wse.replay import ReplaySession
-
-        session = ReplaySession(fabric, label="spmv-oneshot")
-        if session.enabled:
-            with session.record():
-                cycles = fabric.run(max_cycles=max_cycles, until=finished)
-            if session.schedule is not None:
-                bad = session.schedule.check()
-                if bad:
-                    raise AssertionError(
-                        "replay self-check diverged from the live run: "
-                        + "; ".join(bad[:5])
-                    )
-        else:
-            cycles = fabric.run(max_cycles=max_cycles, until=finished)
-    else:
-        cycles = fabric.run(max_cycles=max_cycles, until=finished,
-                            sanitize=opts.sanitize)
+    cycles = run_oneshot(fabric, opts, finished, max_cycles,
+                         label="spmv-oneshot")
     u = np.empty(op.shape, dtype=np.float64)
     for j in range(ny):
         for i in range(nx):

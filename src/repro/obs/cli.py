@@ -37,7 +37,7 @@ __all__ = [
 
 
 def run_traced_solve(shape=(8, 8, 8), rtol: float = 5e-3, maxiter: int = 12,
-                     engine: str = "active", workers: int = 1):
+                     engine: str = "active"):
     """Solve the momentum system in DES mode under observation.
 
     Returns ``(session, solver, result)`` with metrics already
@@ -51,9 +51,8 @@ def run_traced_solve(shape=(8, 8, 8), rtol: float = 5e-3, maxiter: int = 12,
     sys_ = momentum_system(tuple(shape), reynolds=50.0, dt=0.02)
     obs = ObsSession()
     solver = DESBiCGStab(sys_.operator, options=RunOptions(
-        engine=engine, workers=workers, obs=obs))
+        engine=engine, obs=obs))
     result = solver.solve(sys_.b, rtol=rtol, maxiter=maxiter)
-    solver.close()
     obs.harvest()
     return obs, solver, result
 
@@ -128,7 +127,7 @@ def trace_main(argv: list[str] | None = None) -> int:
 
     obs, solver, result = run_traced_solve(
         shape=tuple(args.shape), rtol=args.rtol, maxiter=args.maxiter,
-        engine=args.engine, workers=args.workers,
+        engine=args.engine,
     )
     print("\n".join(_summary_lines(obs, solver, result)))
 
@@ -276,11 +275,6 @@ def profile_main(argv: list[str] | None = None) -> int:
 
     add_engine_arguments(parser)
     args = parser.parse_args(argv)
-    if args.engine == "sharded":
-        print("profile: the cycle profiler needs the whole fabric "
-              "in-process; --engine sharded is unsupported (profile under "
-              "active — sharded runs are bit-identical to it)")
-        return 2
 
     obs, solver, result = run_profiled_solve(
         shape=tuple(args.shape), rtol=args.rtol, maxiter=args.maxiter,

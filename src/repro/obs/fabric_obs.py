@@ -95,29 +95,6 @@ class FabricObserver:
             self.series.append((self.fabric.cycle, 0))
             self._last_words = 0
 
-    def on_shard_cycle(self, cycle: int, words: int, n_active: int,
-                       occ: int, stalled: int) -> None:
-        """Sharded-engine merge: one cycle's accounting, pre-summed by
-        the parent coordinator across all shard workers.  Lands exactly
-        where :meth:`on_cycle` would: ``words``/``stalled`` are the
-        cross-shard sums for this cycle, ``n_active``/``occ`` the
-        active-router count and peak queue occupancy sampled from the
-        workers' merged post-step state (shard workers report the
-        sample one round late, after absorbing in-flight seam words, so
-        it equals the monolithic post-step value bit for bit)."""
-        self._c_stepped.inc()
-        if words:
-            self._c_words.inc(words)
-        if self.keep_series and words != self._last_words:
-            self.series.append((cycle, words))
-            self._last_words = words
-        self._h_active.observe(n_active)
-        self._g_occ.set(occ)
-        if occ > self.peak_occupancy:
-            self.peak_occupancy = occ
-        if stalled:
-            self._c_stall.inc(stalled)
-
     def on_replay(self, fabric, stepped: int, skipped: int, words: int,
                   stall: int, series) -> None:
         """Replay-engine synthesis: fold a whole replayed kernel run's

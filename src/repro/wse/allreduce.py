@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api import RunOptions, coerce_options
+from ..api import RunOptions
 from .config import CS1, MachineConfig
+from .execute import open_replay, run_persistent
 from .fabric import Fabric
 from .sanitizer import _ShadowWord
 from .patterns import (
@@ -530,25 +531,14 @@ class AllReduceEngine:
 
     def __init__(
         self, width: int, height: int, queue_capacity: int = 8,
-        engine: str | None = None, options: RunOptions | None = None,
+        options: RunOptions | None = None,
     ):
-        opts = coerce_options(options, caller="AllReduceEngine",
-                              engine=engine)
-        self.options = opts
-        engine = opts.engine
+        self.options = opts = options if options is not None else RunOptions()
         if width < 2 or height < 2:
             raise ValueError("AllReduce pattern needs a fabric of at least 2x2")
         self.width = width
         self.height = height
-        self.engine = engine
         self.fabric = Fabric(width, height, queue_capacity)
-        # "replay" is an orchestration layer over the active engine: the
-        # first reduce records on the live active-set stepper, later
-        # reduces replay the compiled schedule.  "sharded" forks workers
-        # that each step their rectangle with the active engine.
-        self.fabric.engine = (
-            "active" if engine in ("replay", "sharded") else engine
-        )
         compile_to_fabric(allreduce_pattern(width, height), self.fabric)
         self.cores: list[ReduceCore] = []
         for y in range(height):
@@ -556,44 +546,27 @@ class AllReduceEngine:
                 core = ReduceCore(x, y, width, height, 0.0)
                 self.fabric.attach_core(x, y, core)
                 self.cores.append(core)
-        if engine != "reference":
+        if opts.engine != "reference":
             self.fabric.prebind()
         from .analyze.contracts import compute_contract
 
         # The collective carries its static contract like every shipped
         # program: exact per-link words per reduce, cycle lower bound.
         self.fabric.static_contract = compute_contract(self.fabric)
-        self.replay = None
-        self._executor = None
-        if engine == "replay":
-            from .replay import ReplaySession
-
-            self.replay = ReplaySession(self.fabric, label="allreduce")
-        elif engine == "sharded":
-            from .shard import ShardedExecutor
-
-            cores = self.cores
-
-            def until_factory(rect):
-                local = [c for c in cores if rect.contains(c.x, c.y)]
-
-                def local_done(f, local=local):
-                    return f.quiescent() and all(
-                        c.result is not None for c in local
-                    )
-
-                return local_done
-
-            self._executor = ShardedExecutor(
-                self.fabric, workers=opts.workers,
-                until_factory=until_factory,
-            )
+        #: The :class:`~repro.wse.replay.ReplaySession` under
+        #: ``engine="replay"`` (None otherwise): the first reduce
+        #: records on the live active-set stepper, later reduces replay
+        #: the compiled schedule.
+        self.replay = open_replay(self.fabric, opts, label="allreduce")
         self.runs = 0
 
-    def close(self) -> None:
-        """Release shard workers (no-op for in-process engines)."""
-        if self._executor is not None:
-            self._executor.close()
+    def _arm(self, values: np.ndarray) -> None:
+        k = 0
+        for y in range(self.height):
+            row = values[y]
+            for x in range(self.width):
+                self.cores[k].reset(float(row[x]))
+                k += 1
 
     def reduce(self, values: np.ndarray) -> tuple[float, int]:
         """All-reduce one grid of per-tile scalars; returns (sum, cycles)."""
@@ -603,60 +576,17 @@ class AllReduceEngine:
                 f"values shape {values.shape} does not match the "
                 f"({self.height}, {self.width}) fabric"
             )
-        session = self.replay
-        if session is not None:
-            if session.valid():
-                fabric = self.fabric
-                start = fabric.cycle
-                session.replay({"values": values.ravel()})
-                self.runs += 1
-                results = {float(c.result) for c in self.cores}
-                if len(results) != 1:
-                    raise AssertionError(
-                        f"AllReduce delivered differing results: {results}"
-                    )
-                return results.pop(), fabric.cycle - start
-            if session.enabled:
-                with session.record():
-                    return self._reduce_live(values)
-            session.note_fallback()
-        return self._reduce_live(values)
-
-    def _reduce_live(self, values: np.ndarray) -> tuple[float, int]:
         cores = self.cores
-        if self._executor is not None:
-            # Sharded: the authoritative cores live in the forked
-            # workers — re-arm them with pokes, run the lockstep
-            # rounds, then pull the results back into the parent.
-            ex = self._executor
-            ex.poke([
-                ("reduce_reset", x, y, float(values[y][x]))
-                for y in range(self.height) for x in range(self.width)
-            ])
-            fabric = self.fabric
-            start = fabric.cycle
-            ex.run(max_cycles=50 * (self.width + self.height) + 1000)
-            ex.harvest()
-            results = {float(c.result) for c in cores}
-            if len(results) != 1:
-                raise AssertionError(
-                    f"AllReduce delivered differing results: {results}"
-                )
-            self.runs += 1
-            return results.pop(), fabric.cycle - start
-        k = 0
-        for y in range(self.height):
-            row = values[y]
-            for x in range(self.width):
-                cores[k].reset(float(row[x]))
-                k += 1
         fabric = self.fabric
         start = fabric.cycle
-        fabric.run(
-            max_cycles=50 * (self.width + self.height) + 1000,
+        run_persistent(
+            fabric, self.replay, self.options,
             # quiescent() first: O(1) rejection while words are in flight.
-            until=lambda f: f.quiescent()
+            lambda f: f.quiescent()
             and all(c.result is not None for c in cores),
+            50 * (self.width + self.height) + 1000,
+            arm=lambda: self._arm(values),
+            externs=lambda: {"values": values.ravel()},
         )
         results = {float(c.result) for c in cores}
         if len(results) != 1:
@@ -669,7 +599,7 @@ class AllReduceEngine:
 
 def simulate_allreduce(
     values: np.ndarray, queue_capacity: int = 8,
-    engine: str | None = None, options: RunOptions | None = None,
+    options: RunOptions | None = None,
 ) -> tuple[float, int]:
     """Run the collective on a freshly built simulated fabric.
 
@@ -678,8 +608,7 @@ def simulate_allreduce(
     values:
         Per-tile scalars, shape ``(height, width)``.
     options:
-        Execution options (:class:`repro.api.RunOptions`); the bare
-        ``engine=`` keyword is the deprecated spelling.
+        Execution options (:class:`repro.api.RunOptions`).
 
     Returns
     -------
@@ -688,15 +617,10 @@ def simulate_allreduce(
         and the cycle count from first injection to the last core
         receiving the broadcast.
     """
-    opts = coerce_options(options, caller="simulate_allreduce",
-                          engine=engine)
     values = np.asarray(values, dtype=np.float32)
     height, width = values.shape
-    eng = AllReduceEngine(width, height, queue_capacity, options=opts)
-    try:
-        return eng.reduce(values)
-    finally:
-        eng.close()
+    return AllReduceEngine(width, height, queue_capacity,
+                           options=options).reduce(values)
 
 
 def allreduce_latency_cycles(

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ...api import RunOptions
+from ..execute import select_engine
 from .analyzer import analyze_program
 from .diagnostics import Severity
 from .numerics import confirm_numerics_witness, synthesize_numerics_witness
@@ -187,7 +189,7 @@ def _certify_spmv3d(engine: str, two_sum_tasks: bool = False,
     from ...problems.stencil7 import Stencil7
 
     op, _b, _dinv = Stencil7.from_random(shape).jacobi_precondition()
-    eng = SpmvEngine(op, engine=engine)
+    eng = SpmvEngine(op, options=RunOptions(engine=engine))
     if two_sum_tasks:
         # The two-task split only changes drain interleaving; rebuild.
         from ...kernels.spmv3d import build_spmv_fabric
@@ -195,7 +197,7 @@ def _certify_spmv3d(engine: str, two_sum_tasks: bool = False,
         n = int(np.prod(shape))
         v = np.linspace(-1.0, 1.0, n).reshape(shape)
         fabric, programs = build_spmv_fabric(op, v, two_sum_tasks=True)
-        fabric.engine = "active" if engine == "replay" else engine
+        select_engine(fabric, engine)
         nx, ny, _nz = op.shape
 
         def run(f):
@@ -220,7 +222,8 @@ def _certify_spmv2d(engine: str, shape=(6, 6), block_shape=(3, 3)):
     op, _b, _dinv = Stencil9.from_random(shape).jacobi_precondition()
     n = int(np.prod(shape))
     v = np.linspace(1.0, -1.0, n).reshape(shape)
-    fabric, programs = build_spmv2d_fabric(op, v, block_shape, engine=engine)
+    fabric, programs = build_spmv2d_fabric(op, v, block_shape)
+    select_engine(fabric, engine)
     bx, by = block_shape
     px, py = shape[0] // bx, shape[1] // by
 
@@ -240,7 +243,7 @@ def _certify_blas(engine: str, kernel: str, n: int = 32):
         fabric, _out, instr = build_axpy_fabric(0.5, x, y)
     else:
         fabric, _acc, instr = build_dot_fabric(x, y)
-    fabric.engine = engine
+    select_engine(fabric, engine)
 
     def run(f):
         f.run(max_cycles=10 * n + 100, until=lambda f: instr.finished)
@@ -251,7 +254,7 @@ def _certify_blas(engine: str, kernel: str, n: int = 32):
 def _certify_allreduce(engine: str, width: int = 6, height: int = 4):
     from ..allreduce import AllReduceEngine
 
-    eng = AllReduceEngine(width, height, engine=engine)
+    eng = AllReduceEngine(width, height, options=RunOptions(engine=engine))
     rng = np.random.default_rng(7)
     values = rng.uniform(-60.0, 60.0, (height, width))
 
@@ -264,7 +267,7 @@ def _certify_allreduce(engine: str, width: int = 6, height: int = 4):
 
 def _certify_fig9(engine: str, scaled: bool):
     fabric, _out, instrs = build_fig9_program(scaled)
-    fabric.engine = engine
+    select_engine(fabric, engine)
     return _shadowed(fabric, lambda f: _run_fig9(f, instrs))
 
 
@@ -414,9 +417,9 @@ def certify_main(argv=None) -> int:
     )
     from ...api import add_engine_arguments
 
-    add_engine_arguments(parser, workers=False, json_flag=True)
+    add_engine_arguments(parser, json_flag=True)
     args = parser.parse_args(argv)
-    if args.engine in ("reference", "sharded"):
+    if args.engine == "reference":
         print(f"certify-numerics: the fp64 shadow executor drives the "
               f"instruction stepper in-process; --engine {args.engine} is "
               "unsupported (certify under active or replay)")

@@ -147,8 +147,7 @@ def lint_main(argv: list[str] | None = None) -> int:
         description="Statically analyze every shipped wafer program.",
     )
     # Shared fragment: lint is static (no engine runs), so only --json.
-    add_engine_arguments(parser, engine=False, workers=False,
-                         json_flag=True)
+    add_engine_arguments(parser, engine=False, json_flag=True)
     args = parser.parse_args(argv if argv is not None else [])
     if args.json:
         lines, any_error = lint_json_lines()

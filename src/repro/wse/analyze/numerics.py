@@ -66,6 +66,7 @@ from .spec import (
     ScalarRef,
     drain_fifo_name,
 )
+from ..execute import select_engine
 from ..fabric import Port
 
 __all__ = [
@@ -983,7 +984,7 @@ def confirm_numerics_witness(diag_or_data, engine: str = "active") -> dict:
     from ..sanitizer import ShadowNumerics
 
     fabric, handles = synthesize_numerics_witness(diag_or_data)
-    fabric.engine = engine
+    select_engine(fabric, engine)
     shadow = ShadowNumerics(fabric)
     fabric.attach_sanitizer(shadow)
     try:

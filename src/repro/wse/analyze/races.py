@@ -61,7 +61,9 @@ from .passes import (
 )
 from .routing import forwarding_graph, routes_by_channel
 from .spec import BUILD_LAUNCH, FabricRef, FifoRef, MemRef
+from ...api import RunOptions
 from ..dsr import Action
+from ..execute import run_live
 from ..fabric import Fabric, Port
 
 __all__ = [
@@ -372,9 +374,9 @@ def confirm_race(diagnostic, engine: str = "active",
 
     data = getattr(diagnostic, "data", diagnostic)
     ce = synthesize_race_program(data)
-    ce.engine = engine
     try:
-        ce.run(max_cycles=max_cycles, sanitize=True)
+        run_live(ce, RunOptions(engine=engine, sanitize=True), None,
+                 max_cycles)
     except FabricRaceError as err:
         return err
     raise RuntimeError(

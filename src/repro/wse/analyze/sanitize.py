@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...api import RunOptions
 from ...obs.metrics import MetricsRegistry
+from ..execute import select_engine
 from ..sanitizer import FabricRaceError
 
 __all__ = ["SanitizeCheck", "sanitize_all", "sanitize_report_text",
@@ -128,7 +130,7 @@ def _run_spmv3d(engine, san, shape=(3, 3, 6)):
     from ...problems.stencil7 import Stencil7
 
     op, _b, _dinv = Stencil7.from_random(shape).jacobi_precondition()
-    eng = SpmvEngine(op, engine=engine)
+    eng = SpmvEngine(op, options=RunOptions(engine=engine))
     _attach(eng.fabric, san)
     n = int(np.prod(shape))
     v = np.linspace(-1.0, 1.0, n).reshape(shape)
@@ -146,7 +148,7 @@ def _run_spmv3d_two_sum(engine, san, shape=(3, 3, 6)):
     n = int(np.prod(shape))
     v = np.linspace(-1.0, 1.0, n).reshape(shape)
     fabric, programs = build_spmv_fabric(op, v, two_sum_tasks=True)
-    fabric.engine = engine
+    select_engine(fabric, engine)
     _attach(fabric, san)
     nx, ny, _nz = op.shape
 
@@ -168,8 +170,8 @@ def _run_spmv2d(engine, san, shape=(6, 6), block_shape=(3, 3)):
     op, _b, _dinv = Stencil9.from_random(shape).jacobi_precondition()
     n = int(np.prod(shape))
     v = np.linspace(1.0, -1.0, n).reshape(shape)
-    fabric, programs = build_spmv2d_fabric(op, v, block_shape,
-                                           engine=engine)
+    fabric, programs = build_spmv2d_fabric(op, v, block_shape)
+    select_engine(fabric, engine)
     _attach(fabric, san)
     bx, by = block_shape
     px, py = shape[0] // bx, shape[1] // by
@@ -200,7 +202,7 @@ def _run_blas(kernel):
             fabric, out, instr = build_axpy_fabric(0.5, x, y)
         else:
             fabric, out, instr = build_dot_fabric(x, y)
-        fabric.engine = engine
+        select_engine(fabric, engine)
         _attach(fabric, san)
         start = fabric.cycle
         while not instr.finished:
@@ -218,7 +220,7 @@ def _run_blas(kernel):
 def _run_allreduce(engine, san, width=6, height=4):
     from ..allreduce import AllReduceEngine
 
-    eng = AllReduceEngine(width, height, engine=engine)
+    eng = AllReduceEngine(width, height, options=RunOptions(engine=engine))
     _attach(eng.fabric, san)
     values = np.arange(width * height, dtype=np.float64).reshape(height, width)
     total, _cycles = eng.reduce(values)
@@ -234,14 +236,15 @@ def _run_bicgstab(engine, san, shape=(2, 2, 4), maxiter=1):
     from ..allreduce import AllReduceEngine
 
     system = momentum_system(shape, reynolds=50.0, dt=0.02)
-    solver = DESBiCGStab(system.operator, engine=engine)
+    options = RunOptions(engine=engine)
+    solver = DESBiCGStab(system.operator, options=options)
     # The solver creates its persistent engines lazily on first use;
     # instantiate them up front (identical arguments) so the sanitizer
     # covers the whole solve.
     solver._spmv_eng = SpmvEngine(solver.operator, solver.config,
-                                  engine=engine)
+                                  options=options)
     nx, ny = solver.operator.shape[:2]
-    solver._ar_eng = AllReduceEngine(nx, ny, engine=engine)
+    solver._ar_eng = AllReduceEngine(nx, ny, options=options)
     _attach(solver._spmv_eng.fabric, san)
     _attach(solver._ar_eng.fabric, san)
     result = solver.solve(system.b, rtol=1e-30, maxiter=maxiter)
@@ -291,14 +294,13 @@ def sanitize_main(argv: list[str] | None = None) -> int:
             "bit-identical to an unsanitized run."
         ),
     )
-    from ...api import add_engine_arguments
+    from ...api import SANITIZE_REPLAY_REASON, add_engine_arguments
 
-    add_engine_arguments(parser, extra_choices=("both",), workers=False)
+    add_engine_arguments(parser, extra_choices=("both",))
     args = parser.parse_args(argv if argv is not None else [])
-    if args.engine in ("replay", "sharded"):
-        print(f"sanitize: the race sanitizer instruments live whole-fabric "
-              f"stepping; --engine {args.engine} is unsupported (sanitize "
-              "under active — the other engines are bit-identical to it)")
+    if args.engine == "replay":
+        print(f"sanitize: --engine replay is unsupported: "
+              f"{SANITIZE_REPLAY_REASON}")
         return 2
     engines = (
         ("active", "reference") if args.engine == "both" else (args.engine,)

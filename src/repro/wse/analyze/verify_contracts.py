@@ -53,6 +53,7 @@ from .analyzer import analyze_program
 from .cdg import cdg_pass
 from .contracts import StaticContract
 from ...api import RunOptions, add_engine_arguments
+from ..execute import run_oneshot
 from ...obs import ObsSession
 
 __all__ = ["ContractCheck", "verify_contracts", "verify_report_text",
@@ -199,15 +200,13 @@ def _contract_of(fabric) -> StaticContract:
     return contract
 
 
-def _check_spmv3d(engine: str, shape=(3, 3, 6), profile: bool = False,
-                  workers: int = 1):
+def _check_spmv3d(engine: str, shape=(3, 3, 6), profile: bool = False):
     from ...kernels.spmv3d import SpmvEngine
     from ...problems.stencil7 import Stencil7
 
     op, _b, _dinv = Stencil7.from_random(shape).jacobi_precondition()
     session = ObsSession(profile=profile)
-    eng = SpmvEngine(op, options=RunOptions(engine=engine, workers=workers,
-                                            obs=session))
+    eng = SpmvEngine(op, options=RunOptions(engine=engine, obs=session))
     n = int(np.prod(shape))
     v = np.linspace(-1.0, 1.0, n).reshape(shape)
     if engine == "replay":
@@ -228,48 +227,8 @@ def _check_spmv3d(engine: str, shape=(3, 3, 6), profile: bool = False,
     )
 
 
-def _run_oneshot(fabric, finished, engine: str, label: str,
-                 max_cycles: int = 200_000, workers: int = 1,
-                 until_factory=None) -> None:
-    """Run a one-shot program to completion under ``engine``.
-
-    ``"replay"`` records the single live execution through the PR 7
-    recorder and proves the compiled schedule reproduces it
-    bit-for-bit (the one-shot pattern of ``run_spmv_des``);
-    ``"sharded"`` steps the program through ``workers`` shard processes
-    (``until_factory`` supplies each shard's rect-local completion
-    predicate; ``finished`` is used for every shard when omitted)."""
-    if engine == "sharded":
-        from ...wse.shard import run_sharded
-
-        fabric.engine = "active"
-        factory = until_factory or (lambda rect: finished)
-        run_sharded(fabric, factory, workers=workers,
-                    max_cycles=max_cycles)
-        return
-    if engine == "replay":
-        from ...wse.replay import ReplaySession
-
-        fabric.engine = "active"
-        session = ReplaySession(fabric, label=label)
-        if session.enabled:
-            with session.record():
-                fabric.run(max_cycles=max_cycles, until=finished)
-            if session.schedule is not None:
-                bad = session.schedule.check()
-                if bad:
-                    raise AssertionError(
-                        "replay self-check diverged from the live run: "
-                        + "; ".join(bad[:5])
-                    )
-            return
-    else:
-        fabric.engine = engine
-    fabric.run(max_cycles=max_cycles, until=finished)
-
-
 def _check_spmv3d_two_sum(engine: str, shape=(3, 3, 6),
-                          profile: bool = False, workers: int = 1):
+                          profile: bool = False):
     """The two-sum-tasks SpMV variant (no persistent-engine wrapper)."""
     from ...kernels.spmv3d import build_spmv_fabric
     from ...problems.stencil7 import Stencil7
@@ -288,15 +247,8 @@ def _check_spmv3d_two_sum(engine: str, shape=(3, 3, 6),
             programs[j][i].done for j in range(ny) for i in range(nx)
         )
 
-    def until_factory(rect):
-        tiles = [(i, j) for j in range(rect.y0, rect.y1)
-                 for i in range(rect.x0, rect.x1)]
-        return lambda f: f.quiescent() and all(
-            programs[j][i].done for (i, j) in tiles
-        )
-
-    _run_oneshot(fabric, finished, engine, "spmv3d-two-sum",
-                 workers=workers, until_factory=until_factory)
+    run_oneshot(fabric, RunOptions(engine=engine), finished, 200_000,
+                label="spmv3d-two-sum")
     contract = _contract_of(fabric)
     name = "x".join(str(s) for s in shape)
     return _check_fabric(
@@ -307,7 +259,7 @@ def _check_spmv3d_two_sum(engine: str, shape=(3, 3, 6),
 
 
 def _check_spmv2d(engine: str, shape=(6, 6), block_shape=(3, 3),
-                  profile: bool = False, workers: int = 1):
+                  profile: bool = False):
     from ...kernels.spmv2d_des import run_spmv2d_des
     from ...problems.stencil9 import Stencil9
 
@@ -317,7 +269,7 @@ def _check_spmv2d(engine: str, shape=(6, 6), block_shape=(3, 3),
     session = ObsSession(profile=profile)
     _u, cycles = run_spmv2d_des(
         op, v, block_shape,
-        options=RunOptions(engine=engine, workers=workers, obs=session))
+        options=RunOptions(engine=engine, obs=session))
     fabric = session.fabrics["spmv2d"].fabric
     contract = _contract_of(fabric)
     return _check_fabric(
@@ -328,7 +280,7 @@ def _check_spmv2d(engine: str, shape=(6, 6), block_shape=(3, 3),
 
 
 def _check_blas(engine: str, kernel: str = "axpy", n: int = 32,
-                profile: bool = False, workers: int = 1):
+                profile: bool = False):
     from ...kernels.blas_des import build_axpy_fabric, build_dot_fabric
 
     x = np.linspace(-1, 1, n)
@@ -340,12 +292,9 @@ def _check_blas(engine: str, kernel: str = "axpy", n: int = 32,
     session = ObsSession(profile=profile)
     session.observe_fabric(kernel, fabric)
     start = fabric.cycle
-    _run_oneshot(fabric, lambda f: instr.finished, engine, kernel,
-                 max_cycles=10 * n + 10, workers=workers)
-    # Shard workers step forked copies of the program; the parent's
-    # Instruction object is not part of the harvested fabric state, so
-    # completion there is proven by the word/cycle contract instead.
-    if engine != "sharded" and not instr.finished:  # pragma: no cover
+    run_oneshot(fabric, RunOptions(engine=engine), lambda f: instr.finished,
+                10 * n + 10, label=kernel)
+    if not instr.finished:  # pragma: no cover
         raise RuntimeError(f"{kernel} program did not finish")
     contract = _contract_of(fabric)
     return _check_fabric(
@@ -356,11 +305,11 @@ def _check_blas(engine: str, kernel: str = "axpy", n: int = 32,
 
 
 def _check_allreduce(engine: str, width: int = 6, height: int = 4,
-                     profile: bool = False, workers: int = 1):
+                     profile: bool = False):
     from ...wse.allreduce import AllReduceEngine
 
     eng = AllReduceEngine(width, height,
-                          options=RunOptions(engine=engine, workers=workers))
+                          options=RunOptions(engine=engine))
     session = ObsSession(profile=profile)
     session.observe_fabric("allreduce", eng.fabric)
     values = np.arange(width * height, dtype=np.float64).reshape(height, width)
@@ -382,7 +331,7 @@ def _check_allreduce(engine: str, width: int = 6, height: int = 4,
 
 
 def _check_bicgstab(engine: str, shape=(2, 2, 4), maxiter: int = 1,
-                    profile: bool = False, workers: int = 1):
+                    profile: bool = False):
     """One full DES BiCGStab iteration: verify both persistent fabrics.
 
     Word counts must equal ``runs x contract`` on each fabric (the SpMV
@@ -397,7 +346,7 @@ def _check_bicgstab(engine: str, shape=(2, 2, 4), maxiter: int = 1,
     system = momentum_system(shape, reynolds=50.0, dt=0.02)
     session = ObsSession(profile=profile)
     solver = DESBiCGStab(system.operator, options=RunOptions(
-        engine=engine, workers=workers, obs=session))
+        engine=engine, obs=session))
     solver.solve(system.b, rtol=1e-30, maxiter=maxiter)
     report = solver.report
     checks = []
@@ -420,43 +369,33 @@ def _check_bicgstab(engine: str, shape=(2, 2, 4), maxiter: int = 1,
         "allreduce", runs=report.allreduce_runs, observed_cycles=stepped,
         bound=ar_contract.scaled_lower_bound(report.allreduce_runs),
     ))
-    solver.close()
     return checks
 
 
-def verify_contracts(engine: str = "active", profile: bool = False,
-                     workers: int = 1) -> list[ContractCheck]:
+def verify_contracts(engine: str = "active",
+                     profile: bool = False) -> list[ContractCheck]:
     """Run every shipped program under ``engine`` and check its contract.
 
     ``profile=True`` attaches the cycle profiler to every run and fills
-    each check's :attr:`ContractCheck.slack_breakdown`.  ``workers``
-    sets the shard process count for ``engine="sharded"`` (profiling is
-    unsupported there; profile under ``"active"``, which is
-    bit-identical)."""
-    if engine != "sharded":
-        workers = 1
+    each check's :attr:`ContractCheck.slack_breakdown`."""
     checks = [
-        _check_spmv3d(engine, profile=profile, workers=workers),
-        _check_spmv3d_two_sum(engine, profile=profile, workers=workers),
-        _check_spmv3d(engine, shape=(1, 1, 8), profile=profile,
-                      workers=workers),
-        _check_spmv2d(engine, profile=profile, workers=workers),
-        _check_blas(engine, "axpy", profile=profile, workers=workers),
-        _check_blas(engine, "dot", profile=profile, workers=workers),
-        _check_allreduce(engine, profile=profile, workers=workers),
+        _check_spmv3d(engine, profile=profile),
+        _check_spmv3d_two_sum(engine, profile=profile),
+        _check_spmv3d(engine, shape=(1, 1, 8), profile=profile),
+        _check_spmv2d(engine, profile=profile),
+        _check_blas(engine, "axpy", profile=profile),
+        _check_blas(engine, "dot", profile=profile),
+        _check_allreduce(engine, profile=profile),
     ]
-    checks.extend(_check_bicgstab(engine, profile=profile, workers=workers))
+    checks.extend(_check_bicgstab(engine, profile=profile))
     return checks
 
 
-def verify_report_text(engine: str = "active", profile: bool = False,
-                       workers: int = 1) -> str:
+def verify_report_text(engine: str = "active", profile: bool = False) -> str:
     """The full verification report as printable text."""
-    checks = verify_contracts(engine, profile=profile, workers=workers)
-    header = f"contract verification (engine={engine}"
-    if engine == "sharded":
-        header += f", workers={workers}"
-    lines = [header + (", profiled)" if profile else ")")]
+    checks = verify_contracts(engine, profile=profile)
+    lines = [f"contract verification (engine={engine}"
+             + (", profiled)" if profile else ")")]
     lines.extend(f"  {c.summary()}" for c in checks)
     n_bad = sum(not c.ok for c in checks)
     lines.append(
@@ -519,8 +458,7 @@ def verify_main(argv: list[str] | None = None) -> int:
     add_engine_arguments(parser, extra_choices=("both", "all"))
     parser.add_argument(
         "--profile", action="store_true",
-        help="attach the cycle profiler and decompose each check's slack "
-        "(live engines only; the sharded leg always runs unprofiled)",
+        help="attach the cycle profiler and decompose each check's slack",
     )
     parser.add_argument(
         "--numerics", action="store_true",
@@ -531,29 +469,21 @@ def verify_main(argv: list[str] | None = None) -> int:
     if args.engine == "both":
         engines = ("active", "reference")
     elif args.engine == "all":
-        engines = ("active", "reference", "replay", "sharded")
+        engines = ("active", "reference", "replay")
     else:
         engines = (args.engine,)
     status = 0
     for engine in engines:
-        workers = max(args.workers, 2) if engine == "sharded" else 1
-        text = verify_report_text(
-            engine,
-            # The profiler needs the whole fabric in-process; the
-            # sharded leg runs unprofiled (it is bit-identical anyway).
-            profile=args.profile and engine != "sharded",
-            workers=workers,
-        )
+        text = verify_report_text(engine, profile=args.profile)
         print(text)
         if not text.endswith("VERIFY OK"):
             status = 1
     # --engine all always covers the numerics certificates; the shadow
     # executor drives the instruction stepper, so it runs under the
-    # active and replay orchestrations (not the reference engine or the
-    # shard workers).
+    # active and replay orchestrations (not the reference engine).
     if args.numerics or args.engine == "all":
         for engine in engines:
-            if engine in ("reference", "sharded"):
+            if engine == "reference":
                 continue
             if verify_numerics(engine):
                 status = 1

@@ -29,7 +29,6 @@ from .dsr import (
     FifoPop,
     FifoPush,
     Instruction,
-    ScalarAccumulator,
 )
 from .fifo import HardwareFifo
 from .memory import TileMemory
@@ -72,12 +71,6 @@ class Core:
         self.flags: dict[str, bool] = {}
         #: Hardware FIFOs created via :meth:`make_fifo`, by name.
         self.fifos: dict[str, HardwareFifo] = {}
-        #: Named :class:`~repro.wse.dsr.ScalarAccumulator` destinations
-        #: seen by :meth:`launch`, keyed by accumulator name.  Register
-        #: state lives outside :class:`TileMemory`, so this is the only
-        #: generic handle a checkpoint/harvest pass (the sharded
-        #: engine's per-worker state merge) has on reduction results.
-        self._accumulators: dict[str, object] = {}
         #: Static program declaration for the analyzer
         #: (:mod:`repro.wse.analyze`).  Builders populate this alongside
         #: the runtime program; empty means "opted out of
@@ -196,9 +189,6 @@ class Core:
     def launch(self, instr: Instruction, thread: int | None = None) -> None:
         """Start an instruction: in a background thread slot, or queued on
         the main thread when ``thread`` is None."""
-        dst = getattr(instr, "dst", None)
-        if isinstance(dst, ScalarAccumulator) and dst.name:
-            self._accumulators[dst.name] = dst
         if thread is None:
             self.main.append(instr)
             if self.sanitizer is not None:

@@ -309,20 +309,6 @@ class Fabric:
         #: sanitizer — including ``run(sanitize=True)`` — invalidates
         #: any compiled schedule).
         self._sanitize_epoch = 0
-        #: Shard restriction, set only inside a sharded-engine worker
-        #: process (see :mod:`repro.wse.shard`): ``(x0, y0, x1, y1)``
-        #: half-open bounds of the tiles this process owns.  When set,
-        #: :meth:`_bindings_for` binds any hop whose destination router
-        #: lies outside the rectangle to a halo proxy obtained from
-        #: :attr:`_halo_factory` instead of the neighbour's real queue.
-        self._shard_rect = None
-        #: ``callable(key, capacity) -> halo proxy`` installed together
-        #: with ``_shard_rect``; ``key`` is ``(x, y, channel, in_port)``
-        #: of the remote destination queue.  The proxy must expose
-        #: ``__len__`` (the mirrored remote occupancy, credits) and
-        #: ``append`` (capture the word for the end-of-round exchange),
-        #: plus a ``hot`` set absorbing the phase-2 hot-key add.
-        self._halo_factory = None
         # ---- active sets (coords are (y, x) to match sweep order) ----
         self._active_routers: set[tuple[int, int]] = set()
         self._awake_cores: set[tuple[int, int]] = set()
@@ -497,34 +483,9 @@ class Fabric:
                             break
                         nxr = self.routers[nb[1]][nb[0]]
                         dkey = (channel, OPPOSITE[out_port])
-                        rect = self._shard_rect
-                        if rect is not None and not (
-                            rect[0] <= nb[0] < rect[2]
-                            and rect[1] <= nb[1] < rect[3]
-                        ):
-                            # Cross-shard hop: the destination queue
-                            # lives in another worker process.  Bind to
-                            # a halo proxy whose __len__ mirrors the
-                            # remote occupancy (the credit check) and
-                            # whose append captures the word for the
-                            # synchronized end-of-round exchange.  The
-                            # activation coord is the *sender* tile — a
-                            # no-op add, since the sender is necessarily
-                            # still active while it holds the word —
-                            # because the remote tile's activation
-                            # happens in its own worker when the word is
-                            # merged there.
-                            hq = self._halo_factory(
-                                (nb[0], nb[1], channel,
-                                 OPPOSITE[out_port]),
-                                nxr.queue_capacity,
-                            )
-                            qdests.append((hq, nxr.queue_capacity,
-                                           (y, x), hq.hot, dkey))
-                        else:
-                            dq = nxr.queue_for(channel, OPPOSITE[out_port])
-                            qdests.append((dq, nxr.queue_capacity,
-                                           (nb[1], nb[0]), nxr._hot, dkey))
+                        dq = nxr.queue_for(channel, OPPOSITE[out_port])
+                        qdests.append((dq, nxr.queue_capacity,
+                                       (nb[1], nb[0]), nxr._hot, dkey))
                 if b.error is None:
                     b.qdests = tuple(qdests)
                     b.cdests = tuple(cdests)
@@ -1015,10 +976,8 @@ class Fabric:
 
         Read-only: stale ``_active_routers`` / ``_tx_cores`` entries are
         left for the next ``step()`` to discard (each phase prunes its
-        own set by per-coordinate state).  Pruning here would be
-        iteration-order-dependent, which would make activity statistics
-        differ between a monolithic fabric and its sharded partition;
-        state-based pruning keeps every engine's stats bit-identical.
+        own set by per-coordinate state), which keeps every engine's
+        activity statistics bit-identical.
         """
         for coord in self._active_routers:
             router = self.routers[coord[0]][coord[1]]

@@ -20,9 +20,9 @@ schedule:
   the fabric's sanitize epoch — all of which invalidate the cache, so
   the next run records afresh on the live engine.
 
-The session never *decides* to replay; kernel runners ask ``valid()``
-and choose.  That keeps the fallback policy (re-record vs. plain live)
-in the runner, next to its operand plumbing.
+The session never *decides* to replay: :mod:`repro.wse.execute` asks
+``valid()`` and chooses, so the fallback policy (re-record vs. plain
+live) lives in one place for every kernel.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Tests for :mod:`repro.api` — RunOptions, Session, and the shims.
+"""Tests for :mod:`repro.api` — RunOptions, Session, and the CLI fragment.
 
 Three contracts live here: the :class:`RunOptions` value object rejects
 every inconsistent combination at construction (so runners never have
-to re-validate), the legacy runner keywords keep working but warn with
-the documented removal schedule, and the shared CLI fragment spells
-``--engine``/``--workers``/``--json`` identically for every subcommand.
+to re-validate), runners accept their execution settings only as
+``options=RunOptions(...)``, and the shared CLI fragment spells
+``--engine``/``--json`` identically for every subcommand.
 """
 
 import argparse
@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import (
     ENGINES,
+    SANITIZE_REPLAY_REASON,
     AllReduce,
     Axpy,
     Dot,
@@ -21,7 +22,6 @@ from repro.api import (
     Session,
     Spmv3D,
     add_engine_arguments,
-    coerce_options,
     options_from_args,
 )
 
@@ -29,86 +29,38 @@ from repro.api import (
 class TestRunOptions:
     def test_defaults(self):
         opts = RunOptions()
-        assert (opts.engine, opts.workers) == ("active", 1)
-        assert not opts.sanitize and not opts.analyze and not opts.profile
+        assert opts.engine == "active"
+        assert not opts.sanitize and not opts.analyze
         assert opts.obs is None
 
     def test_engine_must_be_known(self):
-        assert ENGINES == ("reference", "active", "replay", "sharded")
+        assert ENGINES == ("reference", "active", "replay")
         with pytest.raises(ValueError, match="engine"):
             RunOptions(engine="turbo")
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2"])
-    def test_workers_must_be_positive_int(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            RunOptions(engine="sharded", workers=workers)
-
-    def test_workers_above_one_require_sharded(self):
-        with pytest.raises(ValueError, match="requires engine='sharded'"):
-            RunOptions(engine="active", workers=2)
-        assert RunOptions(engine="sharded", workers=4).workers == 4
-
-    def test_sharded_rejects_sanitize_and_profile(self):
-        with pytest.raises(ValueError, match="sanitize"):
-            RunOptions(engine="sharded", sanitize=True)
-        with pytest.raises(ValueError, match="profile"):
-            RunOptions(engine="sharded", profile=True, obs=object())
-
-    def test_profile_requires_obs(self):
-        with pytest.raises(ValueError, match="obs"):
-            RunOptions(profile=True)
-        assert RunOptions(profile=True, obs=object()).profile
+    def test_replay_rejects_sanitize(self):
+        with pytest.raises(ValueError, match="sanitize") as exc:
+            RunOptions(engine="replay", sanitize=True)
+        assert SANITIZE_REPLAY_REASON in str(exc.value)
+        for engine in ("active", "reference"):
+            assert RunOptions(engine=engine, sanitize=True).sanitize
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
             RunOptions().engine = "replay"
 
     def test_replace_revalidates(self):
-        opts = RunOptions(engine="sharded", workers=4)
-        assert opts.replace(workers=2) == RunOptions(engine="sharded",
-                                                     workers=2)
-        assert opts.workers == 4  # original untouched
-        with pytest.raises(ValueError):
-            opts.replace(engine="active")  # workers=4 now inconsistent
-
-
-class TestCoerceOptions:
-    def test_no_arguments_yields_defaults(self):
-        assert coerce_options(None, caller="x") == RunOptions()
-
-    def test_options_passed_through_unchanged(self):
         opts = RunOptions(engine="replay")
-        assert coerce_options(opts, caller="x") is opts
-
-    def test_legacy_keyword_warns_with_schedule(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"myrunner.*engine.*PR 12"):
-            opts = coerce_options(None, caller="myrunner", engine="replay")
-        assert opts == RunOptions(engine="replay")
-
-    def test_none_valued_legacy_keywords_are_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = coerce_options(None, caller="x", engine=None, obs=None)
-        assert opts == RunOptions()
-
-    def test_both_spellings_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            coerce_options(RunOptions(), caller="x", engine="active")
-
-    def test_unknown_legacy_keyword_is_an_error(self):
-        with pytest.raises(TypeError, match="unknown option"):
-            coerce_options(None, caller="x", engin="active")
-
-    def test_options_type_checked(self):
-        with pytest.raises(TypeError, match="RunOptions"):
-            coerce_options({"engine": "active"}, caller="x")
+        assert opts.replace(analyze=True) == RunOptions(engine="replay",
+                                                        analyze=True)
+        assert not opts.analyze  # original untouched
+        with pytest.raises(ValueError):
+            opts.replace(sanitize=True)  # replay + sanitize inconsistent
 
 
 class TestRunnerShims:
-    """The pre-PR keyword spellings still work, warning once."""
+    """The pre-RunOptions keyword spellings are gone: runners take their
+    execution settings only as ``options=RunOptions(...)``."""
 
     def test_run_spmv_des_engine_kwarg(self):
         from repro.kernels import run_spmv_des
@@ -117,28 +69,26 @@ class TestRunnerShims:
         op, _, _ = Stencil7.from_random(
             (2, 2, 4), rng=np.random.default_rng(0)).jacobi_precondition()
         v = np.ones(op.shape)
-        with pytest.warns(DeprecationWarning, match="run_spmv_des"):
-            u_old, c_old = run_spmv_des(op, v, engine="active")
-        u_new, c_new = run_spmv_des(op, v, options=RunOptions())
-        assert c_old == c_new
-        np.testing.assert_array_equal(u_old, u_new)
+        with pytest.raises(TypeError, match="engine"):
+            run_spmv_des(op, v, engine="active")
 
     def test_allreduce_engine_kwarg(self):
-        from repro.wse.allreduce import AllReduceEngine
+        from repro.wse.allreduce import AllReduceEngine, simulate_allreduce
 
-        with pytest.warns(DeprecationWarning, match="AllReduceEngine"):
-            eng = AllReduceEngine(2, 2, engine="active")
-        eng.close()
+        with pytest.raises(TypeError, match="engine"):
+            AllReduceEngine(2, 2, engine="active")
+        with pytest.raises(TypeError, match="engine"):
+            simulate_allreduce(np.ones((2, 2)), engine="active")
 
     def test_bicgstab_engine_kwarg(self):
         from repro.kernels.bicgstab_des import DESBiCGStab
         from repro.problems import momentum_system
 
         system = momentum_system((2, 2, 4), reynolds=50.0, dt=0.02)
-        with pytest.warns(DeprecationWarning, match="DESBiCGStab"):
-            solver = DESBiCGStab(system.operator, engine="active")
-        assert solver.options == RunOptions()
-        solver.close()
+        for legacy in ("engine", "analyze", "obs"):
+            with pytest.raises(TypeError, match=legacy):
+                DESBiCGStab(system.operator, **{legacy: None})
+        assert DESBiCGStab(system.operator).options == RunOptions()
 
 
 class TestSession:
@@ -167,13 +117,13 @@ class TestSession:
             (2, 2, 4), rng=np.random.default_rng(3)).jacobi_precondition()
         v = 0.1 * np.random.default_rng(4).standard_normal(op.shape)
         u_act, c_act = session.run(Spmv3D(op, v))
-        u_sh, c_sh = session.run(
-            Spmv3D(op, v), options=RunOptions(engine="sharded", workers=2))
-        assert c_sh == c_act
-        np.testing.assert_array_equal(u_sh, u_act)
+        u_rep, c_rep = session.run(
+            Spmv3D(op, v), options=RunOptions(engine="replay"))
+        assert c_rep == c_act
+        np.testing.assert_array_equal(u_rep, u_act)
 
     def test_session_pins_engine_across_programs(self):
-        session = Session(RunOptions(engine="sharded", workers=2))
+        session = Session(RunOptions(engine="replay"))
         vals = np.arange(6, dtype=np.float64).reshape(2, 3)
         total, cycles = session.run(AllReduce(vals))
         assert total == pytest.approx(vals.sum())
@@ -186,16 +136,11 @@ class TestCliFragment:
         add_engine_arguments(parser, **kw)
         return parser
 
-    def test_engine_and_workers_spelling(self):
-        args = self._parser().parse_args(
-            ["--engine", "sharded", "--workers", "4"])
-        opts = options_from_args(args)
-        assert opts == RunOptions(engine="sharded", workers=4)
-
-    def test_workers_ignored_without_sharded(self):
-        args = self._parser().parse_args(["--engine", "active",
-                                          "--workers", "4"])
-        assert options_from_args(args) == RunOptions()
+    def test_engine_spelling(self):
+        args = self._parser().parse_args(["--engine", "reference"])
+        assert options_from_args(args) == RunOptions(engine="reference")
+        with pytest.raises(SystemExit):
+            self._parser().parse_args(["--workers", "4"])
 
     def test_unknown_engine_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
@@ -211,10 +156,10 @@ class TestCliFragment:
         with pytest.raises(SystemExit):
             self._parser().parse_args(["--json"])
 
-    def test_engine_and_workers_opt_out(self):
-        parser = self._parser(engine=False, workers=False, json_flag=True)
+    def test_engine_opt_out(self):
+        parser = self._parser(engine=False, json_flag=True)
         args = parser.parse_args(["--json"])
-        assert not hasattr(args, "engine") and not hasattr(args, "workers")
+        assert not hasattr(args, "engine")
         # options_from_args degrades to defaults for such subcommands.
         assert options_from_args(args) == RunOptions()
 
@@ -222,3 +167,66 @@ class TestCliFragment:
         args = self._parser().parse_args(["--engine", "replay"])
         opts = options_from_args(args, analyze=True)
         assert opts == RunOptions(engine="replay", analyze=True)
+
+
+def _sanitize_runners():
+    """``name -> run(options)`` for every runner taking ``RunOptions``."""
+    from repro.kernels import (
+        run_axpy_des,
+        run_dot_des,
+        run_spmv2d_des,
+        run_spmv_des,
+    )
+    from repro.kernels.bicgstab_des import DESBiCGStab
+    from repro.kernels.spmv3d import SpmvEngine
+    from repro.problems import Stencil7, Stencil9, momentum_system
+    from repro.wse.allreduce import AllReduceEngine, simulate_allreduce
+
+    rng = np.random.default_rng(11)
+    op, _, _ = Stencil7.from_random(
+        (2, 2, 4), rng=rng).jacobi_precondition()
+    v = 0.1 * rng.standard_normal(op.shape)
+    op9, _, _ = Stencil9.from_random((4, 4), rng=rng).jacobi_precondition()
+    x, y = rng.random(8), rng.random(8)
+    vals = rng.random((2, 3))
+    system = momentum_system((2, 2, 4), reynolds=50.0, dt=0.02)
+    return {
+        "run_spmv_des": lambda o: run_spmv_des(op, v, options=o),
+        "run_spmv2d_des": lambda o: run_spmv2d_des(
+            op9, rng.random((4, 4)), (2, 2), options=o),
+        "run_axpy_des": lambda o: run_axpy_des(0.5, x, y, options=o),
+        "run_dot_des": lambda o: run_dot_des(x, y, options=o),
+        "SpmvEngine": lambda o: SpmvEngine(op, options=o).run(v),
+        "AllReduceEngine": lambda o: AllReduceEngine(
+            3, 2, options=o).reduce(vals),
+        "simulate_allreduce": lambda o: simulate_allreduce(vals, options=o),
+        "DESBiCGStab": lambda o: DESBiCGStab(
+            system.operator, options=o).solve(system.b, maxiter=1),
+    }
+
+
+@pytest.mark.parametrize("engine", ["active", "reference", "replay"])
+@pytest.mark.parametrize("runner", [
+    "run_spmv_des", "run_spmv2d_des", "run_axpy_des", "run_dot_des",
+    "SpmvEngine", "AllReduceEngine", "simulate_allreduce", "DESBiCGStab",
+])
+def test_sanitize_reaches_every_live_run(runner, engine, monkeypatch):
+    """``RunOptions.sanitize`` attaches the race sanitizer on every
+    runner under both live engines, and is rejected up front for
+    replay (which executes compiled schedules, not live stepping)."""
+    if engine == "replay":
+        with pytest.raises(ValueError, match="sanitize"):
+            RunOptions(engine=engine, sanitize=True)
+        return
+    from repro.wse import Fabric
+
+    attached = []
+    real_attach = Fabric.attach_sanitizer
+
+    def counting_attach(self, *args, **kwargs):
+        attached.append(self)
+        return real_attach(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fabric, "attach_sanitizer", counting_attach)
+    _sanitize_runners()[runner](RunOptions(engine=engine, sanitize=True))
+    assert attached, f"{runner} under {engine} never attached a sanitizer"

@@ -1,6 +1,6 @@
-"""Engine equivalence: reference vs active vs replay vs sharded.
+"""Engine equivalence: reference vs active vs replay.
 
-All four engines must be *observably identical* — same cycle counts,
+All three engines must be *observably identical* — same cycle counts,
 same per-destination word accounting, same delivered-word sequences,
 bit-identical numerics — on every kernel in the repo:
 
@@ -8,19 +8,13 @@ bit-identical numerics — on every kernel in the repo:
 * ``active`` — the event-driven active-set engine (``Fabric.step``);
 * ``replay`` — the trace-compiled engine (:mod:`repro.wse.replay`),
   which records one live execution and replays the compiled schedule
-  as batched NumPy ops;
-* ``sharded`` — the conservative barrier-PDES engine
-  (:mod:`repro.wse.shard`), which partitions the grid into contiguous
-  rectangles and steps each in its own process with boundary words
-  exchanged every lookahead round.
+  as batched NumPy ops.
 
 The only permitted difference is wall-clock speed.  These tests pin
 that contract on randomized workloads (both SpMV mappings, the two-sum
 task variant, BLAS, AllReduce, and a full BiCGStab solve), plus the
 satellite behaviours that ride on the engine: per-destination fanout
-accounting, the immediate deadlock diagnosis in :meth:`Fabric.run` (and
-its cross-process propagation), and the seeded-defect check that the
-equivalence gate catches a deliberately unsound lookahead.
+accounting and the immediate deadlock diagnosis in :meth:`Fabric.run`.
 """
 
 import numpy as np
@@ -39,7 +33,6 @@ from repro.wse import CS1, Core, Fabric, FabricDeadlockError, Port
 from repro.wse import dsr
 from repro.wse.allreduce import AllReduceEngine, simulate_allreduce
 from repro.wse.dsr import FabricRx, Instruction, MemCursor
-from repro.wse.shard import run_sharded
 
 RNG = np.random.default_rng(7)
 
@@ -123,16 +116,18 @@ class TestKernelEquivalence:
         shape = (3, 4, 6)
         op = _op3d(shape, 20 + seed)
         v = 0.1 * np.random.default_rng(seed).standard_normal(shape)
-        u_act, c_act = run_spmv_des(op, v, engine="active")
-        u_ref, c_ref = run_spmv_des(op, v, engine="reference")
-        u_rep, c_rep = run_spmv_des(op, v, engine="replay")
+        u_act, c_act = run_spmv_des(op, v, options=RunOptions(engine="active"))
+        u_ref, c_ref = run_spmv_des(op, v,
+                                    options=RunOptions(engine="reference"))
+        u_rep, c_rep = run_spmv_des(op, v, options=RunOptions(engine="replay"))
         assert c_act == c_ref == c_rep
         np.testing.assert_array_equal(u_act, u_ref)
         np.testing.assert_array_equal(u_act, u_rep)
         assert not dsr.LEGACY_ELEMENTWISE
         dsr.LEGACY_ELEMENTWISE = True
         try:
-            u_leg, c_leg = run_spmv_des(op, v, engine="reference")
+            u_leg, c_leg = run_spmv_des(op, v,
+                                        options=RunOptions(engine="reference"))
         finally:
             dsr.LEGACY_ELEMENTWISE = False
         assert c_leg == c_act
@@ -146,9 +141,12 @@ class TestKernelEquivalence:
             shape, rng=np.random.default_rng(shape[0] * 31 + block[0])
         )
         v = 0.1 * np.random.default_rng(9).standard_normal(shape)
-        u_act, c_act = run_spmv2d_des(op, v, block, engine="active")
-        u_ref, c_ref = run_spmv2d_des(op, v, block, engine="reference")
-        u_rep, c_rep = run_spmv2d_des(op, v, block, engine="replay")
+        u_act, c_act = run_spmv2d_des(op, v, block,
+                                      options=RunOptions(engine="active"))
+        u_ref, c_ref = run_spmv2d_des(op, v, block,
+                                      options=RunOptions(engine="reference"))
+        u_rep, c_rep = run_spmv2d_des(op, v, block,
+                                      options=RunOptions(engine="replay"))
         assert c_act == c_ref == c_rep
         np.testing.assert_array_equal(u_act, u_ref)
         np.testing.assert_array_equal(u_act, u_rep)
@@ -158,13 +156,16 @@ class TestKernelEquivalence:
         vals = np.random.default_rng(w * 10 + h).random((h, w)).astype(
             np.float32
         )
-        t_act, c_act = simulate_allreduce(vals, engine="active")
-        t_ref, c_ref = simulate_allreduce(vals, engine="reference")
-        t_rep, c_rep = simulate_allreduce(vals, engine="replay")
+        t_act, c_act = simulate_allreduce(vals,
+                                          options=RunOptions(engine="active"))
+        t_ref, c_ref = simulate_allreduce(
+            vals, options=RunOptions(engine="reference"))
+        t_rep, c_rep = simulate_allreduce(vals,
+                                          options=RunOptions(engine="replay"))
         assert c_act == c_ref == c_rep
         assert t_act == t_ref == t_rep  # bit-identical fp32 reduction
         engines = {
-            name: AllReduceEngine(w, h, engine=name)
+            name: AllReduceEngine(w, h, options=RunOptions(engine=name))
             for name in ("active", "reference", "replay")
         }
         words = {}
@@ -177,9 +178,9 @@ class TestKernelEquivalence:
     def test_blas(self):
         x = np.random.default_rng(1).random(17).astype(np.float16)
         y = np.random.default_rng(2).random(17).astype(np.float16)
-        axpy = {e: run_axpy_des(0.7, x, y, engine=e)
+        axpy = {e: run_axpy_des(0.7, x, y, options=RunOptions(engine=e))
                 for e in ("active", "reference", "replay")}
-        dot = {e: run_dot_des(x, y, engine=e)
+        dot = {e: run_dot_des(x, y, options=RunOptions(engine=e))
                for e in ("active", "reference", "replay")}
         ra, ca = axpy["active"]
         for e in ("reference", "replay"):
@@ -199,13 +200,14 @@ class TestKernelEquivalence:
         op = _op3d(shape, 31)
         v = 0.1 * np.random.default_rng(32).standard_normal(shape)
         u_act, c_act = run_spmv_des(op, v, two_sum_tasks=True,
-                                    engine="active")
-        u_e, c_e = run_spmv_des(op, v, two_sum_tasks=True, engine=engine)
+                                    options=RunOptions(engine="active"))
+        u_e, c_e = run_spmv_des(op, v, two_sum_tasks=True,
+                                options=RunOptions(engine=engine))
         assert c_e == c_act
         np.testing.assert_array_equal(u_e, u_act)
 
     def test_bicgstab_four_way(self):
-        """Full BiCGStab solves agree bit-for-bit across all four
+        """Full BiCGStab solves agree bit-for-bit across all three
         engines: solution, residual history, per-kernel cycles."""
         from repro.kernels.bicgstab_des import DESBiCGStab
 
@@ -215,16 +217,11 @@ class TestKernelEquivalence:
         b = rng.standard_normal(shape)
         pre, bprime, _ = op.jacobi_precondition(b)
         sols = {}
-        for e in ("active", "reference", "replay", "sharded"):
-            workers = 2 if e == "sharded" else 1
-            solver = DESBiCGStab(
-                pre, options=RunOptions(engine=e, workers=workers))
-            try:
-                sols[e] = solver.solve(bprime, maxiter=8)
-            finally:
-                solver.close()
+        for e in ("active", "reference", "replay"):
+            solver = DESBiCGStab(pre, options=RunOptions(engine=e))
+            sols[e] = solver.solve(bprime, maxiter=8)
         base = sols["active"]
-        for e in ("reference", "replay", "sharded"):
+        for e in ("reference", "replay"):
             sol = sols[e]
             np.testing.assert_array_equal(
                 np.asarray(base.x).view(np.uint64),
@@ -343,252 +340,3 @@ class TestDeadlockDiagnosis:
     def test_deadlock_error_is_runtime_error(self):
         # Callers catching the old RuntimeError keep working.
         assert issubclass(FabricDeadlockError, RuntimeError)
-
-
-# ----------------------------------------------------------------------
-# Tentpole: sharded multi-process engine == active, bit for bit
-# ----------------------------------------------------------------------
-class TestShardedEquivalence:
-    """``engine="sharded"`` at 1, 2, and 4 workers against the other
-    three engines, plus the seam-placement and seeded-defect checks."""
-
-    WORKERS = [1, 2, 4]
-
-    @pytest.mark.parametrize("workers", WORKERS)
-    def test_spmv3d_matrix(self, workers):
-        shape = (4, 3, 6)
-        op = _op3d(shape, 50 + workers)
-        v = 0.1 * np.random.default_rng(60 + workers).standard_normal(shape)
-        u_act, c_act = run_spmv_des(op, v, options=RunOptions())
-        u_ref, c_ref = run_spmv_des(op, v, options=RunOptions(
-            engine="reference"))
-        u_rep, c_rep = run_spmv_des(op, v, options=RunOptions(
-            engine="replay"))
-        u_sh, c_sh = run_spmv_des(op, v, options=RunOptions(
-            engine="sharded", workers=workers))
-        assert c_sh == c_act == c_ref == c_rep
-        np.testing.assert_array_equal(
-            np.asarray(u_sh).view(np.uint64),
-            np.asarray(u_act).view(np.uint64),
-        )
-        np.testing.assert_array_equal(u_act, u_ref)
-        np.testing.assert_array_equal(u_act, u_rep)
-
-    @pytest.mark.parametrize("workers", WORKERS)
-    def test_spmv3d_two_sum_matrix(self, workers):
-        shape = (4, 4, 5)
-        op = _op3d(shape, 70)
-        v = 0.1 * np.random.default_rng(71).standard_normal(shape)
-        u_act, c_act = run_spmv_des(op, v, two_sum_tasks=True,
-                                    options=RunOptions())
-        u_sh, c_sh = run_spmv_des(op, v, two_sum_tasks=True,
-                                  options=RunOptions(engine="sharded",
-                                                     workers=workers))
-        assert c_sh == c_act
-        np.testing.assert_array_equal(u_sh, u_act)
-
-    @pytest.mark.parametrize("workers", WORKERS)
-    def test_spmv2d_matrix(self, workers):
-        op = Stencil9.from_random((6, 6), rng=np.random.default_rng(80))
-        v = 0.1 * np.random.default_rng(81).standard_normal((6, 6))
-        u_act, c_act = run_spmv2d_des(op, v, (2, 3), options=RunOptions())
-        u_sh, c_sh = run_spmv2d_des(op, v, (2, 3), options=RunOptions(
-            engine="sharded", workers=workers))
-        assert c_sh == c_act
-        np.testing.assert_array_equal(u_sh, u_act)
-
-    @pytest.mark.parametrize("workers", WORKERS)
-    def test_allreduce_matrix(self, workers):
-        vals = np.random.default_rng(90).random((4, 6)).astype(np.float32)
-        t_act, c_act = simulate_allreduce(vals, options=RunOptions())
-        t_sh, c_sh = simulate_allreduce(vals, options=RunOptions(
-            engine="sharded", workers=workers))
-        assert c_sh == c_act
-        assert t_sh == t_act  # bit-identical fp32 reduction
-
-    def test_allreduce_persistent_stats(self):
-        """A persistent engine reduced twice: merged parent-side stats
-        equal the monolithic run's, field by field."""
-        import dataclasses
-
-        vals = np.random.default_rng(91).random((5, 6))
-        stats = {}
-        for engine, workers in (("active", 1), ("sharded", 3)):
-            eng = AllReduceEngine(6, 5, options=RunOptions(
-                engine=engine, workers=workers))
-            try:
-                eng.reduce(vals)
-                eng.reduce(2.0 * vals)
-            finally:
-                eng.close()
-            stats[engine] = (
-                dataclasses.asdict(eng.fabric.stats),
-                eng.fabric.total_words_moved,
-                {(x, y): eng.fabric.router(x, y).words_moved
-                 for y in range(5) for x in range(6)},
-            )
-        assert stats["sharded"] == stats["active"]
-
-    def test_blas_matrix(self):
-        """The single-tile BLAS kernels clamp to one shard and still
-        agree (result bits and cycles)."""
-        x = np.random.default_rng(4).random(19).astype(np.float16)
-        y = np.random.default_rng(5).random(19).astype(np.float16)
-        r_act, c_act = run_axpy_des(0.3, x, y, options=RunOptions())
-        r_sh, c_sh = run_axpy_des(0.3, x, y, options=RunOptions(
-            engine="sharded", workers=4))
-        assert c_sh == c_act
-        np.testing.assert_array_equal(r_sh, r_act)
-        d_act, cd_act = run_dot_des(x, y, options=RunOptions())
-        d_sh, cd_sh = run_dot_des(x, y, options=RunOptions(
-            engine="sharded", workers=4))
-        assert cd_sh == cd_act
-        assert d_sh == d_act
-
-    # -- seam placement: on and off the stream route -------------------
-    def _line_fabric(self, words):
-        """A 4x2 grid whose only traffic is a west-to-east stream along
-        row 0 — splitting on x puts every seam *on* the route,
-        splitting on y keeps both seams *off* it."""
-        f = Fabric(4, 2)
-        src = _Recorder()
-        f.attach_core(0, 0, src)
-        for x in (1, 2, 3):
-            f.attach_core(x, 0, _Recorder())
-        f.router(0, 0).set_route(0, Port.CORE, (Port.EAST,))
-        for x in (1, 2):
-            f.router(x, 0).set_route(0, Port.WEST, (Port.EAST,))
-        f.router(3, 0).set_route(0, Port.WEST, (Port.CORE,))
-        src._tx = [(0, v) for v in words]
-        return f
-
-    def _line_observables(self, f):
-        return (
-            f.cycle,
-            f.total_words_moved,
-            {(x, y): f.router(x, y).words_moved
-             for y in range(2) for x in range(4)},
-        )
-
-    @pytest.mark.parametrize("axis,workers", [
-        ("x", 2),   # both seams cut the row-0 stream route
-        ("x", 4),   # every link on the route is a seam
-        ("y", 2),   # seam between the rows: off-route entirely
-    ])
-    def test_seams_on_and_off_stream_routes(self, axis, workers):
-        words = [np.float32(v) for v in np.random.default_rng(6).random(12)]
-        base = self._line_fabric(words)
-        base.engine = "active"
-        base.run(max_cycles=1000)
-        sharded = self._line_fabric(words)
-        sharded.engine = "active"
-        run_sharded(sharded, workers=workers, axis=axis, max_cycles=1000)
-        # Delivered words live in the workers' forked cores (only
-        # harvestable state comes back), so the equivalence observables
-        # are the clock and the per-router word accounting.
-        assert self._line_observables(sharded) == self._line_observables(base)
-
-    # -- seeded defect: the gate catches an unsound lookahead ----------
-    def test_wrong_lookahead_is_caught(self):
-        """Lookahead 1 is exact; lookahead 2 (more than the 1-cycle
-        link latency) must either wedge or visibly diverge — proving
-        the equivalence gate is sensitive to the lookahead derivation."""
-        shape = (4, 3, 6)
-        op = _op3d(shape, 95)
-        v = 0.1 * np.random.default_rng(96).standard_normal(shape)
-        nx, ny, _nz = op.shape
-
-        def build():
-            fabric, programs = build_spmv_fabric(op, v)
-            fabric.engine = "active"
-            return fabric, programs
-
-        def factory_for(programs):
-            def factory(rect):
-                tiles = [(i, j) for j in range(ny) for i in range(nx)
-                         if rect.contains(i, j)]
-
-                def until(f):
-                    return f.quiescent() and all(
-                        programs[j][i].done for (i, j) in tiles)
-
-                return until
-            return factory
-
-        fabric, programs = build()
-        cycles_act = fabric.run(
-            max_cycles=100_000,
-            until=lambda f: f.quiescent() and all(
-                programs[j][i].done for j in range(ny) for i in range(nx)),
-        )
-
-        fabric1, programs1 = build()
-        cycles_ok = run_sharded(fabric1, factory_for(programs1), workers=2,
-                                max_cycles=100_000)
-        assert cycles_ok == cycles_act
-
-        fabric2, programs2 = build()
-        try:
-            cycles_bad = run_sharded(fabric2, factory_for(programs2),
-                                     workers=2, max_cycles=100_000,
-                                     lookahead=2)
-        except (FabricDeadlockError, RuntimeError):
-            return  # wedged: caught
-        assert cycles_bad != cycles_act  # or it visibly diverged
-
-    # -- deadlock propagation out of worker processes ------------------
-    def _starved_fabric(self):
-        f = Fabric(2, 1)
-        core = Core(0, 0, CS1)
-        f.attach_core(0, 0, core)
-        q = core.subscribe(5)
-        out = np.zeros(4, dtype=np.float32)
-        core.launch(Instruction(
-            op="copy",
-            dst=MemCursor(out, 0, 4, name="out"),
-            srcs=[FabricRx(q, 4, 5, name="never")],
-            length=4,
-            name="starved",
-        ), thread=1)
-        return f
-
-    def test_worker_deadlock_single_shard_is_verbatim(self):
-        f = self._starved_fabric()
-        with pytest.raises(FabricDeadlockError, match=r"\(0,0\)") as exc:
-            run_sharded(f, workers=1, max_cycles=50_000)
-        assert "per-shard" not in str(exc.value)
-
-    def test_worker_deadlock_propagates_per_shard_diagnosis(self):
-        f = self._starved_fabric()
-        with pytest.raises(FabricDeadlockError) as exc:
-            run_sharded(f, workers=2, max_cycles=50_000)
-        msg = str(exc.value)
-        assert "per-shard diagnosis" in msg
-        assert "(0,0)" in msg          # the stalled tile, named
-        assert "shard 0" in msg        # ...attributed to its shard
-
-    def test_quiescent_until_never_true_sharded(self):
-        f = Fabric(2, 2)
-        with pytest.raises(FabricDeadlockError, match="quiescent"):
-            run_sharded(f, until_factory=lambda rect: (lambda _f: False),
-                        workers=2, max_cycles=50_000)
-
-    def test_cdg_note_survives_worker_propagation(self):
-        """A credit-cycle wedge inside the workers still names the
-        statically-predicted CDG cycle in the parent's exception."""
-        from repro.wse.analyze import (
-            analyze_program,
-            synthesize_counterexample,
-        )
-
-        ring = Fabric(2, 1)
-        ring.router(0, 0).set_route(7, Port.EAST, (Port.EAST,))
-        ring.router(1, 0).set_route(7, Port.WEST, (Port.WEST,))
-        (d,) = analyze_program(ring, passes=("cdg",))
-        ce = synthesize_counterexample(ring, d.data)
-        ce.engine = "active"
-        with pytest.raises(FabricDeadlockError) as exc:
-            run_sharded(ce, workers=2, max_cycles=10_000)
-        msg = str(exc.value)
-        assert "credit" in msg
-        assert "ch7" in msg  # the contract's CDG cycle, named in the error

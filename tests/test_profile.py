@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import RunOptions
 from repro.kernels.bicgstab_des import DESBiCGStab
 from repro.kernels.spmv3d import SpmvEngine
 from repro.obs import (
@@ -55,14 +56,15 @@ def _spmv_op(shape=(3, 3, 8)):
 class TestConservation:
     def test_spmv_active(self):
         obs = ObsSession(profile=True)
-        eng = SpmvEngine(_spmv_op(), engine="active", obs=obs)
+        eng = SpmvEngine(_spmv_op(),
+                         options=RunOptions(engine="active", obs=obs))
         v = 0.1 * RNG.standard_normal(eng.op.shape)
         eng.run(v)
         eng.run(v)
         _assert_conserved(obs.profiles["spmv"])
 
     def test_allreduce_active(self):
-        eng = AllReduceEngine(5, 3, engine="active")
+        eng = AllReduceEngine(5, 3, options=RunOptions(engine="active"))
         obs = ObsSession(profile=True)
         obs.observe_fabric("allreduce", eng.fabric)
         values = np.arange(15, dtype=np.float64).reshape(3, 5)
@@ -73,7 +75,7 @@ class TestConservation:
         assert prof.totals()["wait_rx"] > 0
 
     def test_reference_engine(self):
-        eng = AllReduceEngine(4, 3, engine="reference")
+        eng = AllReduceEngine(4, 3, options=RunOptions(engine="reference"))
         obs = ObsSession(profile=True)
         obs.observe_fabric("allreduce", eng.fabric)
         eng.reduce(np.ones((3, 4)))
@@ -82,7 +84,7 @@ class TestConservation:
     def test_solver_both_fabrics(self):
         sys_ = momentum_system((6, 6, 8), reynolds=50.0, dt=0.02)
         obs = ObsSession(profile=True)
-        solver = DESBiCGStab(sys_.operator, obs=obs)
+        solver = DESBiCGStab(sys_.operator, options=RunOptions(obs=obs))
         solver.solve(sys_.b, rtol=5e-3, maxiter=8)
         assert set(obs.profiles) == {"spmv", "allreduce"}
         for prof in obs.profiles.values():
@@ -97,7 +99,7 @@ class TestReplayFold:
         sessions = {}
         for engine in ("active", "replay"):
             obs = ObsSession(profile=True)
-            eng = SpmvEngine(op, engine=engine, obs=obs)
+            eng = SpmvEngine(op, options=RunOptions(engine=engine, obs=obs))
             for v in vs:
                 eng.run(v)
             sessions[engine] = obs
@@ -113,7 +115,8 @@ class TestReplayFold:
         results, profs = {}, {}
         for engine in ("active", "replay"):
             obs = ObsSession(profile=True)
-            solver = DESBiCGStab(sys_.operator, engine=engine, obs=obs)
+            solver = DESBiCGStab(sys_.operator,
+                                 options=RunOptions(engine=engine, obs=obs))
             results[engine] = solver.solve(sys_.b, rtol=5e-3, maxiter=8)
             profs[engine] = obs.profiles
         assert np.array_equal(results["active"].x, results["replay"].x)
@@ -127,7 +130,8 @@ class TestReplayFold:
         replayed window folds opaquely into each tile's frozen state."""
         op = _spmv_op()
         v = 0.1 * RNG.standard_normal(op.shape)
-        eng = SpmvEngine(op, engine="replay")  # records unprofiled
+        # The engine records unprofiled.
+        eng = SpmvEngine(op, options=RunOptions(engine="replay"))
         eng.run(v)
         prof = CycleProfiler("late", eng.fabric).attach()
         eng.run(v)  # replays; profiler folds opaquely
@@ -137,7 +141,7 @@ class TestReplayFold:
 
 class TestProfilerMechanics:
     def test_attach_detach_restores(self):
-        eng = AllReduceEngine(4, 2, engine="active")
+        eng = AllReduceEngine(4, 2, options=RunOptions(engine="active"))
         prof = CycleProfiler("ar", eng.fabric).attach()
         assert eng.fabric.profiler is prof
         eng.reduce(np.ones((2, 4)))
@@ -154,13 +158,13 @@ class TestProfilerMechanics:
         assert prof.stepped == before
 
     def test_double_attach_conflict(self):
-        eng = AllReduceEngine(3, 2, engine="active")
+        eng = AllReduceEngine(3, 2, options=RunOptions(engine="active"))
         CycleProfiler("a", eng.fabric).attach()
         with pytest.raises(RuntimeError, match="already"):
             CycleProfiler("b", eng.fabric).attach()
 
     def test_mark_windows_the_run(self):
-        eng = AllReduceEngine(4, 3, engine="active")
+        eng = AllReduceEngine(4, 3, options=RunOptions(engine="active"))
         obs = ObsSession(profile=True)
         obs.observe_fabric("allreduce", eng.fabric)
         prof = obs.profiles["allreduce"]
@@ -176,7 +180,7 @@ class TestProfilerMechanics:
             assert sum(states.values()) == window
 
     def test_harvest_exposes_counters(self):
-        eng = AllReduceEngine(4, 2, engine="active")
+        eng = AllReduceEngine(4, 2, options=RunOptions(engine="active"))
         obs = ObsSession(profile=True)
         obs.observe_fabric("allreduce", eng.fabric)
         eng.reduce(np.ones((2, 4)))
@@ -224,7 +228,7 @@ class TestReportsAndExports:
     def profiled_solve(self):
         sys_ = momentum_system((6, 6, 8), reynolds=50.0, dt=0.02)
         obs = ObsSession(profile=True)
-        solver = DESBiCGStab(sys_.operator, obs=obs)
+        solver = DESBiCGStab(sys_.operator, options=RunOptions(obs=obs))
         result = solver.solve(sys_.b, rtol=5e-3, maxiter=8)
         obs.harvest()
         return obs, solver, result
