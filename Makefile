@@ -36,10 +36,13 @@ sanitize:
 	PYTHONPATH=src python -m repro sanitize
 
 # The pre-PR gate: static analysis, contract verification against the
-# engine, numerics certification, race-sanitized runs, then the tier-1
-# test suite.  Run before every PR.
+# engine, numerics certification, race-sanitized runs, the tier-1 test
+# suite, then perfbench's own tests (a renamed span target fails here
+# instead of degrading the benchmark's trace to `unmeasured`).  Run
+# before every PR.
 check: lint verify-contracts certify-numerics sanitize
 	PYTHONPATH=src python -m pytest -x -q
+	PYTHONPATH=src python -m pytest perfbench -q
 
 # Observed DES solve: per-phase cycle table + iteration telemetry on
 # stdout, Chrome-trace JSON (open in chrome://tracing / ui.perfetto.dev)

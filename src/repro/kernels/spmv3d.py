@@ -106,7 +106,8 @@ def _build_tile_program(
     core: Core,
     fabric: Fabric,
     op: Stencil7,
-    v_local: np.ndarray,
+    v_view: np.ndarray,
+    u_view: np.ndarray,
     i: int,
     j: int,
     fifo_capacity: int,
@@ -114,7 +115,11 @@ def _build_tile_program(
     value_range: tuple[float, float] = (-2.0, 2.0),
     tolerance: float = 0.25,
 ) -> SpmvProgram:
-    """Construct listing 1 on one core for mesh column (i, j, :)."""
+    """Construct listing 1 on one core for mesh column (i, j, :).
+
+    ``v_view`` / ``u_view`` are this tile's rows of the fabric-wide
+    planes (:func:`build_spmv_fabric`), already holding ``v`` and zeros.
+    """
     nx, ny, nz = op.shape
     mem = core.memory
     Z = nz
@@ -126,10 +131,8 @@ def _build_tile_program(
         )
 
     # --- Memory allocation (the float16 declarations) -------------------
-    v = mem.alloc("v", Z + 1, np.float16)
-    v[:Z] = v_local.astype(np.float16)
-    v[Z] = np.float16(0.0)
-    u = mem.alloc("u", Z + 2, np.float16)
+    v = mem.adopt("v", v_view)
+    u = mem.adopt("u", u_view)
     legs = {}
     for name in ("xp", "xm", "yp", "ym"):
         arr = mem.alloc(f"{name}_a", Z, np.float16)
@@ -434,14 +437,22 @@ def build_spmv_fabric(
     op.validate()
     v = np.asarray(v, dtype=np.float16).reshape(op.shape)
     fabric = Fabric(nx, ny)
+    # Every tile's ``v`` (Z+1, zero pad last) and ``u`` (Z+2) is a view
+    # of one fabric-wide plane indexed [j, i], so operand loads, result
+    # gathers and the replay engine's gathers/scatters are single array
+    # ops instead of loops over tiles.  Each tile is still charged for
+    # its own rows (TileMemory.adopt).
+    v_plane = np.zeros((ny, nx, nz + 1), np.float16)
+    v_plane[:, :, :nz] = v.transpose(1, 0, 2)
+    u_plane = np.zeros((ny, nx, nz + 2), np.float16)
     programs: list[list[SpmvProgram]] = [[None] * nx for _ in range(ny)]  # type: ignore[list-item]
     for j in range(ny):
         for i in range(nx):
             core = Core(i, j, config)
             fabric.attach_core(i, j, core)
             programs[j][i] = _build_tile_program(
-                core, fabric, op, v[i, j, :], i, j, fifo_capacity,
-                two_sum_tasks, value_range, tolerance,
+                core, fabric, op, v_plane[j, i], u_plane[j, i], i, j,
+                fifo_capacity, two_sum_tasks, value_range, tolerance,
             )
     if analyze:
         analyze_program(fabric).raise_on_error()
@@ -452,6 +463,18 @@ def build_spmv_fabric(
         fabric.static_contract = compute_contract(fabric)
     fabric.prebind()
     return fabric, programs
+
+
+def _planes(programs) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(ny, nx, Z+1)`` ``v`` and ``(ny, nx, Z+2)`` ``u`` planes
+    that every tile's arrays view (:func:`build_spmv_fabric`)."""
+    prog = programs[0][0]
+    return prog.v.base, prog.u.base
+
+
+def _gather_result(u_plane: np.ndarray, nz: int) -> np.ndarray:
+    """Every tile's ``u[1 .. Z]`` as one ``(nx, ny, nz)`` float64 array."""
+    return u_plane[:, :, 1:1 + nz].transpose(1, 0, 2).astype(np.float64)
 
 
 class SpmvEngine:
@@ -478,6 +501,7 @@ class SpmvEngine:
         self.fabric, self.programs = build_spmv_fabric(
             op, np.zeros(op.shape), config, fifo_capacity
         )
+        self._v_plane, self._u_plane = _planes(self.programs)
         self.runs = 0
         #: Optional :class:`repro.obs.ObsSession` — attached *before*
         #: the warm-up run so the observer's cycle accounting is exact
@@ -521,36 +545,36 @@ class SpmvEngine:
                     rec.register_static(mem.get(name))
                 base += nz
 
-    def _flat_v(self, v16: np.ndarray) -> np.ndarray:
-        """The extern vector matching :meth:`_configure_recording`'s
-        tile order (fp16 values widened exactly to float64)."""
-        nx, ny, nz = self.op.shape
-        flat = np.empty(nx * ny * nz, dtype=np.float64)
-        base = 0
-        for j in range(ny):
-            for i in range(nx):
-                flat[base:base + nz] = v16[i, j, :]
-                base += nz
-        return flat
+    def _load(self, v16: np.ndarray) -> None:
+        """Write the iterate into every tile's ``v`` (pad cell zeroed)."""
+        nz = self.op.shape[2]
+        self._v_plane[:, :, :nz] = v16.transpose(1, 0, 2)
+        self._v_plane[:, :, nz] = 0
+
+    def _externs(self, v16: np.ndarray) -> dict:
+        """Replay operands.  The iterate is also loaded into tile memory,
+        so a replay leaves every tile's ``v`` as a live run would; the
+        extern is the plane's ``v`` cells in :meth:`_configure_recording`'s
+        tile order (fp16 widened exactly to float64)."""
+        self._load(v16)
+        nz = self.op.shape[2]
+        return {"v": self._v_plane[:, :, :nz].astype(np.float64).ravel()}
 
     def _arm(self, v16: np.ndarray) -> None:
         """Load the new iterate and re-activate every tile's spmv task."""
-        nz = self.op.shape[2]
-        for j, row in enumerate(self.programs):
-            for i, prog in enumerate(row):
-                prog.v[:nz] = v16[i, j, :]
-                prog.v[nz] = np.float16(0.0)
+        self._load(v16)
+        for row in self.programs:
+            for prog in row:
                 prog.core.flags["spmv_done"] = False
                 prog.core.scheduler.activate("spmv")
 
     def run(self, v: np.ndarray) -> tuple[np.ndarray, int]:
         """One SpMV over the persistent program; returns ``(u, cycles)``."""
-        nx, ny, nz = self.op.shape
         v16 = np.asarray(v, dtype=np.float16).reshape(self.op.shape)
         cycles = run_persistent(
             self.fabric, self.replay, self.options, self._finished, 200_000,
             arm=lambda: self._arm(v16),
-            externs=lambda: {"v": self._flat_v(v16)},
+            externs=lambda: self._externs(v16),
             configure=self._configure_recording,
         )
         self.runs += 1
@@ -559,11 +583,7 @@ class SpmvEngine:
                 "spmv.run", self.fabric.cycle - cycles, cycles,
                 track="kernel:spmv", cat="kernel", args={"run": self.runs},
             )
-        u = np.empty(self.op.shape, dtype=np.float64)
-        for j in range(ny):
-            for i in range(nx):
-                u[i, j, :] = self.programs[j][i].result().astype(np.float64)
-        return u, cycles
+        return _gather_result(self._u_plane, self.op.shape[2]), cycles
 
 
 def run_spmv_des(
@@ -599,11 +619,7 @@ def run_spmv_des(
 
     cycles = run_oneshot(fabric, opts, finished, max_cycles,
                          label="spmv-oneshot")
-    u = np.empty(op.shape, dtype=np.float64)
-    for j in range(ny):
-        for i in range(nx):
-            u[i, j, :] = programs[j][i].result().astype(np.float64)
-    return u, cycles
+    return _gather_result(_planes(programs)[1], nz), cycles
 
 
 def spmv_functional(op: Stencil7, v: np.ndarray, precision="mixed") -> np.ndarray:

@@ -316,6 +316,11 @@ class Fabric:
         self._tx_cores: set[tuple[int, int]] = set()
         self._core_version = 0
         self._prebound = False
+        #: True once :meth:`quiescent` has proven the fabric inert; a
+        #: repeat call (``skip_cycles`` after a replay) is then O(1).
+        #: Cleared by every path that can add work: the core waker, the
+        #: router touch, :meth:`attach_core` and each step.
+        self._settled = False
         #: coord -> cached capability flags:
         #: (has_step, has_tx, can_sleep, fast_tx) where ``fast_tx``
         #: marks cores with the dict-of-deques egress layout and a
@@ -332,10 +337,12 @@ class Fabric:
         coord = (y, x)
         add = self._active_routers.add
         router = self.routers[y][x]
+        fabric = self
 
         def touch() -> None:
             add(coord)
             router._hot_stale = True
+            fabric._settled = False
 
         return touch
 
@@ -348,6 +355,7 @@ class Fabric:
     def attach_core(self, x: int, y: int, core) -> None:
         self.cores[y][x] = core
         self._core_version += 1
+        self._settled = False
         coord = (y, x)
         self._core_caps[coord] = (
             hasattr(core, "step"),
@@ -369,10 +377,12 @@ class Fabric:
         coord = (y, x)
         awake = self._awake_cores
         stalled = self._stalled_cores
+        fabric = self
 
         def wake() -> None:
             awake.add(coord)
             stalled.discard(coord)
+            fabric._settled = False
 
         return wake
 
@@ -774,6 +784,7 @@ class Fabric:
         """One full cycle: network then all active cores.  Returns stats."""
         if self.engine == "reference":
             return self.step_reference()
+        self._settled = False
         if not self._prebound:
             self.prebind()
         stats = self.stats
@@ -838,6 +849,7 @@ class Fabric:
         equivalence oracle.  Maintains the same active-set bookkeeping
         so the two engines may be interleaved on one fabric.
         """
+        self._settled = False
         words = self._step_network_reference()
         elements = 0
         stats = self.stats
@@ -974,11 +986,15 @@ class Fabric:
     def quiescent(self) -> bool:
         """No words in flight and every attached core idle.
 
-        Read-only: stale ``_active_routers`` / ``_tx_cores`` entries are
-        left for the next ``step()`` to discard (each phase prunes its
-        own set by per-coordinate state), which keeps every engine's
-        activity statistics bit-identical.
+        Leaves the active sets alone: stale ``_active_routers`` /
+        ``_tx_cores`` entries are left for the next ``step()`` to
+        discard (each phase prunes its own set by per-coordinate state),
+        which keeps every engine's activity statistics bit-identical.
+        A proven ``True`` is cached until something can add work (see
+        ``_settled``).
         """
+        if self._settled:
+            return True
         for coord in self._active_routers:
             router = self.routers[coord[0]][coord[1]]
             for q in router.queues.values():
@@ -998,6 +1014,7 @@ class Fabric:
                 return False
             if self._core_caps[coord][1] and core.tx_channels():
                 return False
+        self._settled = True
         return True
 
     def _cdg_note(self) -> str:

@@ -66,18 +66,30 @@ class TileMemory:
         ValueError
             When the name is already allocated.
         """
+        dt = np.dtype(dtype)
+        self._charge(name, int(length) * dt.itemsize)
+        arr = np.full(int(length), fill, dtype=dt)
+        self._allocs[name] = Allocation(name, arr)
+        return arr
+
+    def adopt(self, name: str, view: np.ndarray) -> np.ndarray:
+        """Register an existing 1D array (typically a view of a
+        fabric-wide buffer) as a named allocation, charged exactly as
+        :meth:`alloc` would charge it.  Same errors as :meth:`alloc`."""
+        if view.ndim != 1:
+            raise ValueError(f"allocation {name!r} must be 1D, got shape {view.shape}")
+        self._charge(name, view.nbytes)
+        self._allocs[name] = Allocation(name, view)
+        return view
+
+    def _charge(self, name: str, nbytes: int) -> None:
         if name in self._allocs:
             raise ValueError(f"allocation {name!r} already exists")
-        dt = np.dtype(dtype)
-        nbytes = int(length) * dt.itemsize
         if nbytes > self.bytes_free:
             raise TileMemoryError(
                 f"allocating {name!r} ({nbytes} B) exceeds tile SRAM: "
                 f"{self.bytes_used}/{self.capacity} B in use"
             )
-        arr = np.full(int(length), fill, dtype=dt)
-        self._allocs[name] = Allocation(name, arr)
-        return arr
 
     def store(self, name: str, values: np.ndarray) -> np.ndarray:
         """Allocate and initialize from ``values`` (keeps values' dtype)."""
@@ -96,6 +108,13 @@ class TileMemory:
     def get(self, name: str) -> np.ndarray:
         """Fetch an allocated array by name."""
         return self._allocs[name].array
+
+    def name_of(self, array: np.ndarray) -> str | None:
+        """The name ``array`` is allocated under (identity), or None."""
+        for a in self._allocs.values():
+            if a.array is array:
+                return a.name
+        return None
 
     def __contains__(self, name: str) -> bool:
         return name in self._allocs

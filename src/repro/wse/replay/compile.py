@@ -94,20 +94,17 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
     const_idx = np.asarray([i for i, _v in tape.const_vals], dtype=np.intp)
     const_val = np.asarray([v for _i, v in tape.const_vals], dtype=np.float64)
 
-    mem_gathers = []
     by_arr: dict[int, tuple[list, list, list]] = {}
     for nid, ai, cell, val in tape.mem_leaves:
         entry = by_arr.setdefault(ai, ([], [], []))
         entry[0].append(cell)
         entry[1].append(nid)
         entry[2].append(val)
-    for ai, (cells, nids, vals_) in by_arr.items():
-        mem_gathers.append((
-            tape.arrays[ai],
-            np.asarray(cells, dtype=np.intp),
-            np.asarray(nids, dtype=np.intp),
-            np.asarray(vals_, dtype=np.float64),
-        ))
+    mem_gathers = [
+        (target, flat, nids, vals_)
+        for target, flat, _members, _owner, _cells, nids, vals_
+        in _buffer_groups(tape.arrays, by_arr)
+    ]
 
     ext_gathers = []
     by_name: dict[str, tuple[list, list, list]] = {}
@@ -124,18 +121,25 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
             np.asarray(vals_, dtype=np.float64),
         ))
 
-    scatters = []
     by_arr = {}
     for (ai, cell), nid in tape.last_writer.items():
         entry = by_arr.setdefault(ai, ([], []))
         entry[0].append(cell)
         entry[1].append(nid)
-    for ai, (cells, nids) in by_arr.items():
-        scatters.append((
-            tape.arrays[ai],
-            np.asarray(cells, dtype=np.intp),
-            np.asarray(nids, dtype=np.intp),
-        ))
+    scatters = list(_buffer_groups(tape.arrays, by_arr))
+
+    # Object finals (accumulators, ReduceCore acc/result) apply as one
+    # cast per dtype followed by a plain setattr loop.
+    by_dt: dict[int, tuple[list, list, list]] = {}
+    for obj, attr, nid, dt in tape.obj_finals:
+        entry = by_dt.setdefault(dt, ([], [], []))
+        entry[0].append(obj)
+        entry[1].append(attr)
+        entry[2].append(nid)
+    obj_batches = [
+        (DTYPES[dt], objs, attrs, np.asarray(nids, dtype=np.intp))
+        for dt, (objs, attrs, nids) in by_dt.items()
+    ]
 
     return CompiledSchedule(
         fabric=fabric,
@@ -147,7 +151,7 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
         mem_gathers=mem_gathers,
         ext_gathers=ext_gathers,
         scatters=scatters,
-        obj_finals=tape.obj_finals,
+        obj_batches=obj_batches,
         obj_writes=tape.obj_writes,
         d_cycle=tape.d_cycle,
         d_total_words=tape.d_total_words,
@@ -166,6 +170,67 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
         extern_lengths=tape.extern_lengths,
         profile=getattr(tape, "profile", None),
     )
+
+
+def _flat_view(array: np.ndarray):
+    """``(buffer, offset, step)`` when ``array`` is a 1D view into a
+    larger C-contiguous buffer of its dtype, so that ``array[c]`` is
+    ``buffer.reshape(-1)[offset + c * step]``; None otherwise."""
+    root = array
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if (root is array or array.ndim != 1 or root.dtype != array.dtype
+            or not root.flags.c_contiguous):
+        return None
+    size = array.itemsize
+    delta = (array.__array_interface__["data"][0]
+             - root.__array_interface__["data"][0])
+    if delta % size or array.strides[0] % size:
+        return None
+    return root, delta // size, array.strides[0] // size
+
+
+def _buffer_groups(arrays, by_arr):
+    """Coalesce per-array cell lists by backing buffer.
+
+    ``by_arr`` maps a tape array index to ``(cells, *columns)``.  Returns
+    one ``(target, flat, members, owner, cells, *columns)`` tuple per
+    group: ``target[flat[k]]`` is the memory of
+    ``members[owner[k]][cells[k]]``, and each column is concatenated in
+    the same order.  Arrays that view one contiguous buffer (the SpMV's
+    per-tile ``v``/``u`` planes) share a group, so a replay gathers or
+    scatters all of them in one fancy-index op; an array that owns its
+    buffer is its own group.  Recorded views must not overlap: the
+    recorder tracks cells per array, so overlapping views would already
+    void the tape's provenance.
+    """
+    groups = []
+    by_root: dict[int, tuple] = {}
+    for ai, (cells, *_cols) in by_arr.items():
+        array = arrays[ai]
+        cells = np.asarray(cells, dtype=np.intp)
+        view = _flat_view(array)
+        if view is None:
+            groups.append((array, [(ai, cells, cells)]))
+            continue
+        root, offset, step = view
+        by_root.setdefault(id(root), (root.reshape(-1), []))[1].append(
+            (ai, cells, offset + cells * step))
+    groups.extend(by_root.values())
+    out = []
+    for target, parts in groups:
+        n_cols = len(by_arr[parts[0][0]]) - 1
+        out.append((
+            target,
+            np.concatenate([p[2] for p in parts]),
+            [arrays[p[0]] for p in parts],
+            np.concatenate([np.full(len(p[1]), k, dtype=np.intp)
+                            for k, p in enumerate(parts)]),
+            np.concatenate([p[1] for p in parts]),
+            *(np.concatenate([np.asarray(by_arr[p[0]][c]) for p in parts])
+              for c in range(1, n_cols + 1)),
+        ))
+    return out
 
 
 class CompiledSchedule:
@@ -187,8 +252,8 @@ class CompiledSchedule:
         vals = np.empty(self.n_nodes, dtype=np.float64)
         if len(self.const_idx):
             vals[self.const_idx] = self.const_val
-        for array, cells, nids, rec_vals in self.mem_gathers:
-            vals[nids] = rec_vals if recorded_leaves else array[cells]
+        for target, flat, nids, rec_vals in self.mem_gathers:
+            vals[nids] = rec_vals if recorded_leaves else target[flat]
         for name, idxs, nids, rec_vals in self.ext_gathers:
             if recorded_leaves:
                 vals[nids] = rec_vals
@@ -218,10 +283,11 @@ class CompiledSchedule:
     def execute(self, externs=None) -> int:
         """Replay the schedule; returns the cycle delta applied."""
         vals = self._eval(externs)
-        for array, cells, nids in self.scatters:
-            array[cells] = vals[nids]
-        for obj, attr, nid, dt in self.obj_finals:
-            setattr(obj, attr, DTYPES[dt].type(vals[nid]))
+        for target, flat, _members, _owner, _cells, nids in self.scatters:
+            target[flat] = vals[nids]
+        for dtype, objs, attrs, nids in self.obj_batches:
+            for obj, attr, value in zip(objs, attrs, vals[nids].astype(dtype)):
+                setattr(obj, attr, value)
         for acc, dwrites in self.obj_writes:
             acc.writes += dwrites
         self._apply_accounting()
@@ -282,18 +348,31 @@ class CompiledSchedule:
         """
         vals = self._eval(recorded_leaves=True)
         bad: list[str] = []
-        for array, cells, nids in self.scatters:
-            got = vals[nids].astype(array.dtype)
-            cur = array[cells]
-            if not np.array_equal(got.view(np.uint8), cur.view(np.uint8)):
-                k = int(np.flatnonzero(got != cur)[0])
+        for target, flat, members, owner, cells, nids in self.scatters:
+            got = vals[nids].astype(target.dtype)
+            cur = target[flat]
+            word = f"u{got.itemsize}"
+            diff = np.flatnonzero(got.view(word) != cur.view(word))
+            if len(diff):
+                k = int(diff[0])
                 bad.append(
-                    f"cell {cells[k]} of a {array.dtype} array: "
+                    f"cell {cells[k]} of {self._describe(members[owner[k]])}: "
                     f"replay={got[k]!r} live={cur[k]!r}"
                 )
-        for obj, attr, nid, dt in self.obj_finals:
-            got = DTYPES[dt].type(vals[nid])
-            cur = getattr(obj, attr)
-            if not (got == cur or (np.isnan(got) and np.isnan(cur))):
-                bad.append(f"{type(obj).__name__}.{attr}: replay={got!r} live={cur!r}")
+        for dtype, objs, attrs, nids in self.obj_batches:
+            for obj, attr, got in zip(objs, attrs, vals[nids].astype(dtype)):
+                cur = getattr(obj, attr)
+                if not (got == cur or (np.isnan(got) and np.isnan(cur))):
+                    bad.append(f"{type(obj).__name__}.{attr}: replay={got!r} live={cur!r}")
         return bad
+
+    def _describe(self, array) -> str:
+        """Name a scattered array for :meth:`check`'s reports: the tile
+        allocation it is, else its dtype."""
+        for row in self.fabric.cores:
+            for core in row:
+                mem = getattr(core, "memory", None)
+                name = mem.name_of(array) if mem is not None else None
+                if name is not None:
+                    return f"{name!r} on tile ({core.x},{core.y})"
+        return f"a {array.dtype} array"

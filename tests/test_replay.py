@@ -13,7 +13,11 @@ Four suites:
   compiled schedule and forces a fresh recording;
 * engine-switch boundaries — ``skip_cycles``/``quiescent`` and the
   observer's ``on_skip``/``on_replay`` accounting stay consistent
-  across live -> replay -> live transitions on one fabric timeline.
+  across live -> replay -> live transitions on one fabric timeline, and
+  the cached quiescence answer is dropped by every path that adds work;
+* host cost — a replay's gathers, scatters and object-final batches
+  are a fixed count, independent of the fabric size, and
+  ``CompiledSchedule.check()`` still names the tile array and cell.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from repro.obs import ObsSession
 from repro.problems import Stencil7, Stencil9
 from repro.wse import Fabric, Port
 from repro.wse.allreduce import AllReduceEngine
+from repro.wse.channels import tile_channel
+from repro.wse.dsr import Instruction, MemCursor
 from repro.wse.replay import RecordingError, ReplaySession
 
 
@@ -45,6 +51,18 @@ def _router_words(fabric):
         for y in range(fabric.height)
         for x in range(fabric.width)
     }
+
+
+def _memory_bytes(eng):
+    """Every tile allocation's bytes, keyed (x, y, name)."""
+    out = {}
+    for row in eng.programs:
+        for prog in row:
+            mem = prog.core.memory
+            for name in ("v", "u", "xp_a", "xm_a", "yp_a", "ym_a",
+                         "zinit_a", "zloop_a", "term"):
+                out[(prog.core.x, prog.core.y, name)] = mem.get(name).tobytes()
+    return out
 
 
 class _PlainCore:
@@ -120,6 +138,40 @@ class TestReplayBitIdentity:
                       "active_core_cycles", "peak_active_routers",
                       "peak_active_cores"):
             assert getattr(sr, field) == getattr(sa, field), field
+
+    def test_spmv_replay_through_plane_views(self):
+        """Each tile's ``v``/``u`` views one fabric-wide plane; pokes made
+        through a tile view or through the plane between runs reach the
+        replay exactly as they reach the live engine."""
+        shape = (3, 4, 5)
+        z = shape[2]
+        op = _op3d(shape, 9)
+        rng = np.random.default_rng(10)
+        eng_r = SpmvEngine(op, options=RunOptions(engine="replay"))
+        eng_a = SpmvEngine(op, options=RunOptions(engine="active"))
+        prog = eng_r.programs[1][2]
+        assert np.shares_memory(prog.u, eng_r.programs[0][0].u.base)
+        for run in range(4):
+            for eng in (eng_r, eng_a):
+                prog = eng.programs[1][2]
+                prog.u[z + 1] = np.float16(0.5 * (run + 1))  # a replay leaf
+                prog.u.base[0, 1, z + 1] = np.float16(-0.25 * run)
+                prog.v[z] = np.float16(3.0)  # the pad every run re-zeroes
+                prog.v.base[2, 0, 1] = np.float16(7.0)  # a stale operand
+            v = (0.1 * rng.standard_normal(shape)).astype(np.float16)
+            u_a, c_a = eng_a.run(v)
+            u_r, c_r = eng_r.run(v)
+            np.testing.assert_array_equal(u_a.view(np.uint64),
+                                          u_r.view(np.uint64))
+            for row in eng_r.programs:  # the plane gather vs each tile
+                for prog in row:
+                    np.testing.assert_array_equal(
+                        u_r[prog.core.x, prog.core.y], prog.result())
+            assert c_r == c_a
+            assert _router_words(eng_r.fabric) == _router_words(eng_a.fabric)
+            assert _memory_bytes(eng_r) == _memory_bytes(eng_a)
+        sess = eng_r.replay
+        assert (sess.records, sess.replays, sess.fallbacks) == (1, 3, 0)
 
     @pytest.mark.parametrize("two_sum", [False, True])
     def test_spmv3d_one_shot(self, two_sum):
@@ -363,3 +415,139 @@ class TestEngineSwitchBoundaries:
             assert observer.stepped_cycles + observer.skipped_cycles \
                 == fabric.cycle, name
             assert fabric.quiescent(), name
+
+
+class _BusyCore(_PlainCore):
+    """Duck-typed core that never goes idle."""
+
+    @property
+    def idle(self):
+        return False
+
+
+def _settled_spmv():
+    """A warmed-up active SpMV fabric on which ``quiescent()`` has just
+    proven (and cached) ``True``."""
+    eng = SpmvEngine(_op3d((3, 3, 2), 13),
+                     options=RunOptions(engine="active"))
+    assert eng.fabric.quiescent()
+    assert eng.fabric._settled
+    return eng, eng.fabric
+
+
+def _wake_activate():
+    eng, fabric = _settled_spmv()
+    eng.programs[1][1].core.scheduler.activate("spmv")
+    return fabric
+
+
+def _wake_launch():
+    eng, fabric = _settled_spmv()
+    mem = eng.programs[0][1].core.memory
+    eng.programs[0][1].core.launch(Instruction(
+        op="copy", dst=MemCursor(mem.get("term"), 0, 2),
+        srcs=[MemCursor(mem.get("zinit_a"), 0, 2)], length=2,
+    ))
+    return fabric
+
+
+def _wake_inject():
+    eng, fabric = _settled_spmv()
+    eng.programs[2][0].core.inject(tile_channel(0, 2), np.float16(1.0))
+    return fabric
+
+
+def _wake_reduce_reset():
+    eng = AllReduceEngine(3, 3, options=RunOptions(engine="active"))
+    eng.reduce(np.ones((3, 3), np.float32))
+    assert eng.fabric.quiescent()
+    assert eng.fabric._settled
+    eng.cores[4].reset(2.0)
+    return eng.fabric
+
+
+def _wake_router_word():
+    _eng, fabric = _settled_spmv()
+    fabric.router(1, 0).queue_for(tile_channel(1, 0), Port.CORE).append(
+        np.float16(1.0))
+    return fabric
+
+
+def _wake_set_route():
+    _eng, fabric = _settled_spmv()
+    # A new route adds no work by itself; a word sent along it does.
+    fabric.router(0, 0).set_route(15, Port.CORE, (Port.CORE,))
+    assert fabric.quiescent()
+    fabric.router(0, 0).queue_for(15, Port.CORE).append(np.float16(1.0))
+    return fabric
+
+
+def _wake_attach_core():
+    _eng, fabric = _settled_spmv()
+    fabric.attach_core(2, 2, _BusyCore())
+    return fabric
+
+
+class TestQuiescenceCache:
+    """``quiescent()`` caches a proven ``True``; every path that can
+    add work must drop it so ``skip_cycles`` never skips pending work."""
+
+    @pytest.mark.parametrize("wake", [
+        _wake_activate, _wake_launch, _wake_inject, _wake_reduce_reset,
+        _wake_router_word, _wake_set_route, _wake_attach_core,
+    ], ids=lambda f: f.__name__[len("_wake_"):])
+    def test_wake_path_clears_cache(self, wake):
+        fabric = wake()
+        assert not fabric.quiescent()
+        with pytest.raises(ValueError, match="pending work"):
+            fabric.skip_cycles(3)
+
+    def test_live_run_reproves(self):
+        eng, fabric = _settled_spmv()
+        eng._arm(np.ones((3, 3, 2), np.float16))
+        assert not fabric.quiescent()
+        fabric.run(max_cycles=10_000, until=eng._finished)
+        assert fabric.quiescent()
+        assert fabric._settled
+        cycle = fabric.cycle
+        fabric.skip_cycles(4)
+        assert fabric.cycle == cycle + 4
+
+
+# ----------------------------------------------------------------------
+# Host cost: a replay is a fixed number of array ops
+# ----------------------------------------------------------------------
+class TestReplayHostCost:
+    @staticmethod
+    def _spmv_schedule(n):
+        eng = SpmvEngine(_op3d((n, n, 3), 17),
+                         options=RunOptions(engine="replay"))
+        eng.run(0.1 * np.random.default_rng(18).standard_normal((n, n, 3)))
+        assert eng.replay.records == 1
+        return eng.replay.schedule
+
+    def test_spmv_gathers_and_scatters_do_not_grow_with_fabric(self):
+        small, large = self._spmv_schedule(4), self._spmv_schedule(12)
+        assert len(small.mem_gathers) == len(large.mem_gathers) <= 2
+        assert len(small.scatters) == len(large.scatters) <= 2
+
+    def test_allreduce_object_finals_one_batch_per_dtype(self):
+        w, h = 6, 5
+        eng = AllReduceEngine(w, h, options=RunOptions(engine="replay"))
+        eng.reduce(np.random.default_rng(19).random((h, w)).astype(np.float32))
+        batches = eng.replay.schedule.obj_batches
+        dtypes = [dtype for dtype, _objs, _attrs, _nids in batches]
+        assert len(dtypes) == len(set(dtypes))
+        # Every ReduceCore's acc and result.
+        assert sum(len(objs) for _d, objs, _a, _n in batches) == 2 * w * h
+
+    def test_check_names_tile_array_and_cell(self):
+        eng = SpmvEngine(_op3d((3, 3, 4), 2),
+                         options=RunOptions(engine="replay"))
+        eng.run(0.1 * np.random.default_rng(3).standard_normal((3, 3, 4)))
+        schedule = eng.replay.schedule
+        assert schedule.check() == []
+        eng.programs[1][2].u[3] += np.float16(1.0)
+        bad = schedule.check()
+        assert len(bad) == 1
+        assert bad[0].startswith("cell 3 of 'u' on tile (2,1): replay=")

@@ -56,6 +56,22 @@ class TestTileMemory:
             for i in range(10):
                 mem.alloc(f"v{i}", z, np.float16)
 
+    def test_adopted_view_charged_like_alloc(self):
+        plane = np.zeros((3, 4, 9), np.float16)
+        owned, adopted = TileMemory(100), TileMemory(100)
+        owned.alloc("v", 9, np.float16)
+        view = adopted.adopt("v", plane[1, 2])
+        assert np.shares_memory(view, plane)
+        assert adopted.get("v") is view
+        assert adopted.name_of(view) == "v"
+        assert adopted.bytes_used == owned.bytes_used == 18
+        with pytest.raises(ValueError):
+            adopted.adopt("v", plane[0, 0])  # duplicate name
+        with pytest.raises(TileMemoryError):
+            adopted.adopt("w", np.zeros(50, np.float16))  # 100 B > 82 free
+        with pytest.raises(ValueError):
+            adopted.adopt("p", plane[0])  # not 1D
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             TileMemory(0)
