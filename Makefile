@@ -31,9 +31,10 @@ certify-numerics:
 	PYTHONPATH=src python -m repro certify-numerics
 
 # Race-sanitized runs: every shipped program twice (plain vs sanitizer
-# attached), checked race-free and bit-identical at the byte level.
+# attached), checked race-free and bit-identical at the byte level,
+# under both live stepping engines (active-set and reference sweep).
 sanitize:
-	PYTHONPATH=src python -m repro sanitize
+	PYTHONPATH=src python -m repro sanitize --engine both
 
 # The pre-PR gate: static analysis, contract verification against the
 # engine, numerics certification, race-sanitized runs, the tier-1 test

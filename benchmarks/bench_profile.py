@@ -4,7 +4,8 @@ Measures the DES BiCGStab workload of ``bench_des_engine`` in two
 configurations and writes ``BENCH_profile.json``:
 
 ``off`` — no session attached at all: the profiler's entire cost in
-    this mode is one ``self.profiler is None`` test per core step (the
+    this mode is its share of the one ``self._hooks is None`` test per
+    core step that covers every core observer (the
     same zero-cost-when-detached discipline the observer holds to, and
     still covered by ``bench_obs_overhead``'s <5% gate).
 

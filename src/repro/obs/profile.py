@@ -31,9 +31,13 @@ cycles.
 
 Attachment follows the repo-wide zero-cost-when-detached discipline:
 the profiler chains into ``fabric.obs`` (like the replay recorder's
-shim) so :meth:`Fabric.step` needs no new branch, and each
-:class:`~repro.wse.core.Core` pays exactly one ``profiler is None``
-test when detached.  Profiling composes with the replay engine: the
+shim) so :meth:`Fabric.step` needs no new branch, and each tile's
+:class:`TileProfile` is one more observer of the core's instrumented
+step (:meth:`TileProfile.end_cycle`), so a
+:class:`~repro.wse.core.Core` with nothing attached pays one
+``_hooks is None`` test.  Profiling composes with a race sanitizer or
+the fp64 shadow (the taxonomy is the unsanitized one) and with the
+replay engine: the
 :class:`~repro.wse.replay.record.ScheduleRecorder` snapshots the
 profiler at attach and the compiled schedule carries the recorded
 window's per-tile ledger deltas and state-change events, so a replayed
@@ -84,7 +88,7 @@ class TileProfile:
     ``states[i]`` holds on ``[times[i], times[i+1])``).  ``aux`` is the
     fabric channel blamed for a wait (or -1 when unknown / a local
     FIFO).  The hot-path entry point is :meth:`account`, called once
-    per stepped cycle by the owning core.
+    per stepped cycle through the owning core's :meth:`end_cycle` hook.
     """
 
     __slots__ = (
@@ -120,6 +124,14 @@ class TileProfile:
             self.cur = state
             self.cur_aux = aux
         self.last = s + 1
+
+    def end_cycle(self, core, quiet: bool) -> None:
+        """The core's end-of-cycle hook: a cycle that did anything is
+        busy; a quiet one is classified by ``core._classify_wait``."""
+        if quiet:
+            core._classify_wait(self)
+        else:
+            self.account(BUSY, -1)
 
     def segment_at(self, t: int) -> int:
         """Index of the timeline segment covering stepped cycle ``t``."""

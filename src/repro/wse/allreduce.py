@@ -34,9 +34,9 @@ import numpy as np
 
 from ..api import RunOptions
 from .config import CS1, MachineConfig
+from .core import observer_attr
 from .execute import open_replay, run_persistent
 from .fabric import Fabric
-from .sanitizer import _ShadowWord
 from .patterns import (
     Pattern,
     compile_to_fabric,
@@ -283,15 +283,21 @@ class ReduceCore:
         self.finish_cycle: int | None = None
         self._quiet = False
         self.on_wake = None  # set by Fabric.attach_core
-        #: Attached :class:`repro.wse.replay.ScheduleRecorder`, or None
-        #: (same one-``is None``-test contract as :class:`Core`).
-        self.recorder = None
         #: Attached :class:`repro.obs.profile.TileProfile`, or None
         #: (one ``is None`` test in :meth:`step` when detached).
         self.profiler = None
-        #: Attached :class:`repro.wse.sanitizer.ShadowNumerics`, or None
-        #: (same one-test contract); set by ``ShadowNumerics.attach``.
-        self.shadow = None
+        #: The per-word tap of :meth:`_advance`: None (the plain path,
+        #: inline), else the attached observer below that owns it.
+        self._recorder = self._shadow = self._tap = None
+
+    #: Attached :class:`repro.wse.replay.ScheduleRecorder` and
+    #: :class:`repro.wse.sanitizer.ShadowNumerics` (set by their
+    #: ``attach``), each None when detached.  Either one becomes the tap.
+    recorder = observer_attr("recorder")
+    shadow = observer_attr("shadow")
+
+    def _rehook(self) -> None:
+        self._tap = self._shadow if self._shadow is not None else self._recorder
 
     def reset(self, value: float) -> None:
         """Re-arm the core for another collective on the same fabric."""
@@ -304,16 +310,8 @@ class ReduceCore:
             CH_ROW: False, CH_COL: False, CH_GATHER: False, CH_BCAST: False
         }
         self._quiet = False
-        rec = self.recorder
-        if rec is not None:
-            # Re-arming is where each run's fresh operand enters: the
-            # accumulator's initial value becomes the next slot of the
-            # "values" extern vector (slots issue in reset-call order,
-            # which AllReduceEngine keeps row-major).
-            rec.on_obj_init(self, "acc", self.acc, extern="values")
-        sh = self.shadow
-        if sh is not None:
-            sh.on_reduce_reset(self)
+        if self._tap is not None:
+            self._tap.reduce_reset(self)
         if self.on_wake is not None:
             self.on_wake()
 
@@ -338,178 +336,65 @@ class ReduceCore:
         self._quiet = quiet
         tp = self.profiler
         if tp is not None:
-            if not quiet:
-                tp.account(0, -1)            # busy: consumed or produced
-            elif self._tx:
-                tp.account(2, self._tx[0][0])  # egress waiting on the router
-            elif not self.idle:
-                tp.account(1, -1)            # awaiting upstream partials
-            else:
-                tp.account(3, -1)
+            tp.end_cycle(self, quiet)
         return work
+
+    def _classify_wait(self, tp) -> None:
+        """Profiler classification of a quiet step (see
+        :meth:`repro.wse.core.Core._classify_wait`)."""
+        if self._tx:
+            tp.account(2, self._tx[0][0])  # egress waiting on the router
+        elif not self.idle:
+            tp.account(1, -1)              # awaiting upstream partials
+        else:
+            tp.account(3, -1)
 
     def can_sleep(self) -> bool:
         return self._quiet and not self._inbox
 
     def _advance(self) -> int:
-        if self.shadow is not None:
-            return self._advance_shadowed()
-        if self.recorder is not None:
-            return self._advance_recorded()
-        work = 0
-        while self._inbox:
-            channel, value = self._inbox.popleft()
-            if channel == CH_BCAST:
-                self.result = np.float32(value)
+        """The role state machine: fold arrivals in arrival order, then
+        send this core's partial once its role's inputs are all in.
+
+        With a recorder or fp64 shadow attached, :attr:`_tap` unwraps
+        each arrival, applies it, and wraps each send; the arithmetic
+        and the send schedule are identical, so a tapped run is
+        bit-identical.  The root's result is its own broadcast word."""
+        tap = self._tap
+        inbox = self._inbox
+        counts = self._counts
+        work = len(inbox)
+        while inbox:
+            channel, word = inbox.popleft()
+            is_result = channel == CH_BCAST
+            if tap is not None:
+                tap.reduce_recv(self, channel, word, is_result)
+            elif is_result:
+                self.result = np.float32(word)
             else:
-                self.acc = np.float32(self.acc + np.float32(value))
-                self._counts[channel] += 1
-            work += 1
+                self.acc = np.float32(self.acc + np.float32(word))
+            if not is_result:
+                counts[channel] += 1
         r = self.role
         if not r.row_sink:
-            if not self._sent[CH_ROW]:
-                self._tx.append((CH_ROW, float(self.acc)))
-                self._sent[CH_ROW] = True
-            return work
-        row_done = self._counts[CH_ROW] >= r.n_row
-        if not r.col_sink:
-            if row_done and not self._sent[CH_COL]:
-                self._tx.append((CH_COL, float(self.acc)))
-                self._sent[CH_COL] = True
-            return work
-        col_done = row_done and self._counts[CH_COL] >= r.n_col
-        if not r.root:
-            if col_done and not self._sent[CH_GATHER]:
-                self._tx.append((CH_GATHER, float(self.acc)))
-                self._sent[CH_GATHER] = True
-            return work
-        if col_done and self._counts[CH_GATHER] >= 3 and not self._sent[CH_BCAST]:
-            self.result = np.float32(self.acc)
-            self._tx.append((CH_BCAST, float(self.acc)))
-            self._sent[CH_BCAST] = True
-        return work
-
-    def _advance_shadowed(self) -> int:
-        """:meth:`_advance` while an fp64 shadow executor is attached.
-
-        Identical arithmetic and send schedule; additionally carries the
-        fp64 shadow of every word in-band (:class:`_ShadowWord` — the
-        routers treat words opaquely, so the pair travels unchanged) and
-        reports each fp32 accumulation plus the final result to the
-        shadow, which records the realized |fp32 - fp64| error.
-        """
-        sh = self.shadow
-        f32 = np.float32
-        work = 0
-        while self._inbox:
-            channel, word = self._inbox.popleft()
-            if isinstance(word, _ShadowWord):
-                value, sval = word.v, word.s
-            else:  # un-instrumented producer: keep running, flag the gap
-                value = float(word)
-                sval = sh.on_stray_word(self, channel, value)
-            if channel == CH_BCAST:
-                self.result = f32(value)
-                sh.on_reduce_result(self, float(self.result), sval)
+            channel, ready = CH_ROW, True
+        elif not r.col_sink:
+            channel, ready = CH_COL, counts[CH_ROW] >= r.n_row
+        else:
+            ready = counts[CH_ROW] >= r.n_row and counts[CH_COL] >= r.n_col
+            if not r.root:
+                channel = CH_GATHER
             else:
-                self.acc = f32(self.acc + f32(value))
-                sh.on_reduce_add(self, sval)
-                self._counts[channel] += 1
-            work += 1
-
-        def send(channel):
-            self._tx.append((
-                channel,
-                _ShadowWord(float(self.acc), sh.reduce_shadow(self)),
-            ))
-
-        r = self.role
-        if not r.row_sink:
-            if not self._sent[CH_ROW]:
-                send(CH_ROW)
-                self._sent[CH_ROW] = True
-            return work
-        row_done = self._counts[CH_ROW] >= r.n_row
-        if not r.col_sink:
-            if row_done and not self._sent[CH_COL]:
-                send(CH_COL)
-                self._sent[CH_COL] = True
-            return work
-        col_done = row_done and self._counts[CH_COL] >= r.n_col
-        if not r.root:
-            if col_done and not self._sent[CH_GATHER]:
-                send(CH_GATHER)
-                self._sent[CH_GATHER] = True
-            return work
-        if col_done and self._counts[CH_GATHER] >= 3 and not self._sent[CH_BCAST]:
-            self.result = f32(self.acc)
-            sh.on_reduce_result(
-                self, float(self.result), sh.reduce_shadow(self)
-            )
-            send(CH_BCAST)
-            self._sent[CH_BCAST] = True
-        return work
-
-    def _advance_recorded(self) -> int:
-        """:meth:`_advance` while a schedule recording is attached.
-
-        Identical arithmetic and send schedule; additionally unwraps
-        arriving :class:`~repro.wse.replay.TracedWord` tokens into the
-        recorder's fp32 accumulation chain and stamps outgoing words
-        with the chain's current node.
-        """
-        rec = self.recorder
-        f32 = np.float32
-        work = 0
-        while self._inbox:
-            channel, word = self._inbox.popleft()
-            if hasattr(word, "t"):
-                value, node = word.v, word.t
-            else:  # un-instrumented producer: keep running, void the tape
-                value = word
-                rec.fail(
-                    f"reduce core ({self.x},{self.y}) received an "
-                    f"unattributed word on channel {channel}"
-                )
-                node = rec.on_obj_init(self, "_stray", f32(value))
+                channel, ready = CH_BCAST, ready and counts[CH_GATHER] >= 3
+        if ready and not self._sent[channel]:
+            word = float(self.acc) if tap is None else tap.reduce_send(self)
             if channel == CH_BCAST:
-                self.result = f32(value)
-                rec.obj_set(self, "result", node)
-            else:
-                self.acc = f32(self.acc + f32(value))
-                rec.obj_add32(self, "acc", node)
-                self._counts[channel] += 1
-            work += 1
-        wrap = rec.wrap
-
-        def send(channel):
-            w = wrap(float(self.acc))
-            w.t = rec.obj_get(self, "acc")
-            self._tx.append((channel, w))
-
-        r = self.role
-        if not r.row_sink:
-            if not self._sent[CH_ROW]:
-                send(CH_ROW)
-                self._sent[CH_ROW] = True
-            return work
-        row_done = self._counts[CH_ROW] >= r.n_row
-        if not r.col_sink:
-            if row_done and not self._sent[CH_COL]:
-                send(CH_COL)
-                self._sent[CH_COL] = True
-            return work
-        col_done = row_done and self._counts[CH_COL] >= r.n_col
-        if not r.root:
-            if col_done and not self._sent[CH_GATHER]:
-                send(CH_GATHER)
-                self._sent[CH_GATHER] = True
-            return work
-        if col_done and self._counts[CH_GATHER] >= 3 and not self._sent[CH_BCAST]:
-            self.result = np.float32(self.acc)
-            rec.obj_set(self, "result", rec.obj_get(self, "acc"))
-            send(CH_BCAST)
-            self._sent[CH_BCAST] = True
+                if tap is None:
+                    self.result = np.float32(word)
+                else:
+                    tap.reduce_recv(self, channel, word, True)
+            self._tx.append((channel, word))
+            self._sent[channel] = True
         return work
 
     @property

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,8 +38,31 @@ from .task import TaskScheduler
 __all__ = ["Core"]
 
 
+def observer_attr(name: str) -> property:
+    """A core attribute holding an attached observer (or None); assigning
+    it re-derives the core's hooks with ``_rehook``."""
+    attr = "_" + name
+
+    def set_(self, obs) -> None:
+        setattr(self, attr, obs)
+        self._rehook()
+
+    return property(attrgetter(attr), set_)
+
+
 class Core:
     """One tile's core: memory, scheduler, thread slots, fabric endpoints."""
+
+    #: Attached observers, each None when detached: a race sanitizer or
+    #: ``ShadowNumerics`` (:mod:`repro.wse.sanitizer`), a
+    #: ``ScheduleRecorder`` (:mod:`repro.wse.replay`) and a
+    #: ``TileProfile`` (:mod:`repro.obs.profile`).  All of them run
+    #: through :meth:`_step_hooked`.  Sanitizer + profiler and recorder +
+    #: profiler compose; recorder + sanitizer is rejected when the
+    #: recorder attaches.
+    sanitizer = observer_attr("sanitizer")
+    recorder = observer_attr("recorder")
+    profiler = observer_attr("profiler")
 
     def __init__(self, x: int, y: int, config: MachineConfig):
         self.x = x
@@ -80,19 +104,11 @@ class Core:
         #: that could let a sleeping core make progress again (task
         #: activation, instruction launch, word injection).
         self.on_wake = None
-        #: Attached :class:`repro.wse.sanitizer.RaceSanitizer`, or None.
-        #: The hot path pays exactly one ``is None`` test (like the obs
-        #: hook); all shadow tracking lives in :meth:`_step_sanitized`.
-        self.sanitizer = None
-        #: Attached :class:`repro.wse.replay.ScheduleRecorder`, or None.
-        #: Same contract as the sanitizer hook: one ``is None`` test on
-        #: the hot path, all taping in :meth:`_step_recorded`.
-        self.recorder = None
-        #: Attached :class:`repro.obs.profile.TileProfile`, or None.
-        #: Same contract again: one ``is None`` test on the hot path,
-        #: all wait-state accounting in :meth:`_step_profiled` (and the
-        #: recorded path's tail, so profiling composes with recording).
-        self.profiler = None
+        #: Attached observers (see the class attributes above), and the
+        #: hook tuples :meth:`_rehook` derives from them: None while
+        #: nothing is attached, so :meth:`step` pays one ``is None`` test.
+        self._sanitizer = self._recorder = self._profiler = None
+        self._hooks = None
         #: True after a cycle in which nothing happened (no task ran, no
         #: instruction advanced or finished); the sleep gate.
         self._quiet = False
@@ -191,8 +207,8 @@ class Core:
         the main thread when ``thread`` is None."""
         if thread is None:
             self.main.append(instr)
-            if self.sanitizer is not None:
-                self.sanitizer.on_launch(self, instr, None)
+            if self._sanitizer is not None:
+                self._sanitizer.on_launch(self, instr, None)
             self._notify_wake()
             return
         if not (0 <= thread < len(self.threads)):
@@ -204,8 +220,8 @@ class Core:
             )
         self.threads[thread] = instr
         insort(self._occupied, thread)
-        if self.sanitizer is not None:
-            self.sanitizer.on_launch(self, instr, thread)
+        if self._sanitizer is not None:
+            self._sanitizer.on_launch(self, instr, thread)
         self._notify_wake()
 
     # ------------------------------------------------------------------
@@ -216,12 +232,8 @@ class Core:
 
         Returns the number of vector elements processed this cycle.
         """
-        if self.sanitizer is not None:
-            return self._step_sanitized()
-        if self.recorder is not None:
-            return self._step_recorded()
-        if self.profiler is not None:
-            return self._step_profiled()
+        if self._hooks is not None:
+            return self._step_hooked()
         self._stepping = True
         ran = self.scheduler.dispatch(self)
         simd = self._simd
@@ -259,14 +271,17 @@ class Core:
         self._quiet = not (processed or ran or finished)
         return processed
 
-    def _step_sanitized(self) -> int:
-        """:meth:`step` with race-sanitizer hooks on the same schedule.
+    def _step_hooked(self) -> int:
+        """:meth:`step` with observers attached: the same issue order and
+        numerics, plus the four hook points of :meth:`_rehook`.
 
-        Identical issue order and numerics — the sanitizer only observes
-        (epoch starts at main-head arrival, epoch retirement before the
-        completion fires), so a sanitized run is bit-identical.
+        Observers only observe (a sanitizer epoch starts before the main
+        head's step and retires before its completion fires; the recorder
+        tapes each step after the live arithmetic ran; the profiler
+        classifies after the cycle's work), so any combination of them
+        gives a bit-identical run.
         """
-        san = self.sanitizer
+        pre, post, fin, end = self._hooks
         self._stepping = True
         ran = self.scheduler.dispatch(self)
         simd = self._simd
@@ -275,76 +290,39 @@ class Core:
         main = self.main
         if main:
             head = main[0]
-            san.on_main_head(self, head)
-            fn = head._stepfn
-            processed += fn(simd) if fn is not None else head.step(simd)
-            if head.finished:
-                main.popleft()
-                finished += 1
-                san.on_finish(self, head, "main")
-                self._fire(head)
-        occupied = self._occupied
-        if occupied:
-            threads = self.threads
-            for slot in occupied[:]:
-                instr = threads[slot]
-                fn = instr._stepfn
-                processed += fn(simd) if fn is not None else instr.step(simd)
-                if instr.finished:
-                    threads[slot] = None
-                    occupied.remove(slot)
-                    finished += 1
-                    san.on_finish(self, instr, slot)
-                    self._fire(instr)
-        self._stepping = False
-        self.elements_processed += processed
-        if processed:
-            self.cycles_active += 1
-        self._quiet = not (processed or ran or finished)
-        return processed
-
-    def _step_recorded(self) -> int:
-        """:meth:`step` with schedule-recorder hooks, same schedule.
-
-        Like the sanitized path, this only observes: ``pre_instr`` taps
-        an instruction's fabric descriptors before its first step and
-        ``on_instr`` records each step's elements after the live
-        arithmetic ran, so a recorded run is bit-identical.
-        """
-        rec = self.recorder
-        self._stepping = True
-        ran = self.scheduler.dispatch(self)
-        simd = self._simd
-        processed = 0
-        finished = 0
-        main = self.main
-        if main:
-            head = main[0]
-            rec.pre_instr(self, head)
+            for f in pre:
+                f(self, head, "main")
             fn = head._stepfn
             n = fn(simd) if fn is not None else head.step(simd)
             if n:
-                rec.on_instr(self, head, n)
+                for f in post:
+                    f(self, head, n)
                 processed += n
             if head.finished:
                 main.popleft()
                 finished += 1
+                for f in fin:
+                    f(self, head, "main")
                 self._fire(head)
         occupied = self._occupied
         if occupied:
             threads = self.threads
             for slot in occupied[:]:
                 instr = threads[slot]
-                rec.pre_instr(self, instr)
+                for f in pre:
+                    f(self, instr, slot)
                 fn = instr._stepfn
                 n = fn(simd) if fn is not None else instr.step(simd)
                 if n:
-                    rec.on_instr(self, instr, n)
+                    for f in post:
+                        f(self, instr, n)
                     processed += n
                 if instr.finished:
                     threads[slot] = None
                     occupied.remove(slot)
                     finished += 1
+                    for f in fin:
+                        f(self, instr, slot)
                     self._fire(instr)
         self._stepping = False
         self.elements_processed += processed
@@ -352,56 +330,31 @@ class Core:
             self.cycles_active += 1
         quiet = not (processed or ran or finished)
         self._quiet = quiet
-        prof = self.profiler
-        if prof is not None:
-            if quiet:
-                self._classify_wait(prof)
-            else:
-                prof.account(0, -1)
+        for f in end:
+            f(self, quiet)
         return processed
 
-    def _step_profiled(self) -> int:
-        """:meth:`step` with per-cycle wait-state accounting, same
-        schedule.  Like the sanitized/recorded paths this only observes:
-        the classification runs after the cycle's real work, so a
-        profiled run is bit-identical."""
-        self._stepping = True
-        ran = self.scheduler.dispatch(self)
-        simd = self._simd
-        processed = 0
-        finished = 0
-        main = self.main
-        if main:
-            head = main[0]
-            fn = head._stepfn
-            processed += fn(simd) if fn is not None else head.step(simd)
-            if head.finished:
-                main.popleft()
-                finished += 1
-                self._fire(head)
-        occupied = self._occupied
-        if occupied:
-            threads = self.threads
-            for slot in occupied[:]:
-                instr = threads[slot]
-                fn = instr._stepfn
-                processed += fn(simd) if fn is not None else instr.step(simd)
-                if instr.finished:
-                    threads[slot] = None
-                    occupied.remove(slot)
-                    finished += 1
-                    self._fire(instr)
-        self._stepping = False
-        self.elements_processed += processed
-        if processed:
-            self.cycles_active += 1
-        quiet = not (processed or ran or finished)
-        self._quiet = quiet
-        if quiet:
-            self._classify_wait(self.profiler)
-        else:
-            self.profiler.account(0, -1)
-        return processed
+    def _rehook(self) -> None:
+        """Re-derive the instrumented step's hook tuples from the attached
+        observers (run on every attach/detach, never per cycle).
+
+        An observer implements any subset of four callbacks, called in
+        sanitizer, recorder, profiler order:
+
+        * ``pre_step(core, instr, slot)`` — before each instruction step
+          (``slot`` is ``"main"`` or a thread index);
+        * ``post_step(core, instr, n)`` — after a step that processed
+          ``n > 0`` elements;
+        * ``on_finish(core, instr, slot)`` — before a finished
+          instruction's completions fire;
+        * ``end_cycle(core, quiet)`` — after the cycle's work.
+        """
+        obs = [o for o in (self._sanitizer, self._recorder, self._profiler)
+               if o is not None]
+        self._hooks = tuple(
+            tuple(f for o in obs if (f := getattr(o, name, None)) is not None)
+            for name in ("pre_step", "post_step", "on_finish", "end_cycle")
+        ) if obs else None
 
     def _classify_wait(self, tp) -> None:
         """Attribute one non-busy stepped cycle to the profiler's

@@ -15,14 +15,18 @@ consuming descriptor.
 The recorder attaches only to public surfaces, mirroring the sanitizer
 and obs precedents:
 
-* ``Core.recorder`` — :meth:`Core.step` takes the ``_step_recorded``
-  branch (one ``is None`` test when detached), which calls
-  :meth:`pre_instr` / :meth:`on_instr` around each instruction;
+* ``Core.recorder`` — the core's instrumented step
+  (``Core._step_hooked``; the plain step pays one ``_hooks is None``
+  test while nothing is attached) calls :meth:`pre_step` /
+  :meth:`post_step` around each instruction.  A profiler composes with
+  the recorder; a sanitizer does not (:meth:`attach` refuses);
+* ``ReduceCore.recorder`` — the reduce core's per-word tap
+  (:meth:`reduce_reset` / :meth:`reduce_recv` / :meth:`reduce_send`);
 * ``fabric.obs`` — the recorder chains in front of any attached
   observer to capture the per-cycle word/skip accounting through the
   PR 3 hook points;
 * descriptor taps — ``FabricRx.read`` / ``FabricTx.write`` consult a
-  ``_rec`` attribute (class-default ``None``) that :meth:`pre_instr`
+  ``_rec`` attribute (class-default ``None``) that :meth:`pre_step`
   sets on exactly the descriptors of recorded instructions;
 * component counters (``router.words_moved``, ``core.elements_processed``,
   FIFO totals, ``core.flags``) are snapshotted at attach and diffed at
@@ -238,7 +242,7 @@ class ScheduleRecorder:
 
     def snapshot(self, array) -> None:
         """Copy an array the first time a recorded instruction touches
-        it (called from :meth:`pre_instr` / :meth:`on_drain`, which run
+        it (called from :meth:`pre_step` / :meth:`on_drain`, which run
         before the touching step's writes land).  A cell first read by a
         *later* instruction either has a recorded writer (``last_writer``
         resolves it) or is untouched since this copy, so reading the
@@ -427,7 +431,7 @@ class ScheduleRecorder:
 
     def on_tx_ok(self, tx, word) -> None:
         """FabricTx.write tap, after a successful injection: park the
-        in-flight word so :meth:`on_instr` can stamp its producing node.
+        in-flight word so :meth:`post_step` can stamp its producing node.
         The token is assigned *lazily* — the live step runs before the
         recording plan builds the element's value nodes, and a word
         cannot reach a consumer in the same cycle it was injected, so
@@ -435,9 +439,9 @@ class ScheduleRecorder:
         tx._rec_pend.append(word)
 
     # ------------------------------------------------------------------
-    # Instruction hooks (called from Core._step_recorded)
+    # Instruction hooks (the Core._step_hooked protocol)
     # ------------------------------------------------------------------
-    def pre_instr(self, core, instr) -> None:
+    def pre_step(self, core, instr, slot) -> None:
         """First-touch setup for an instruction: tap its fabric
         descriptors and snapshot accumulator initial values.  Runs
         before the instruction's first recorded step."""
@@ -476,7 +480,7 @@ class ScheduleRecorder:
         self._plans[key] = self._build_plan(instr)
         self._plan_refs[key] = instr
 
-    def on_instr(self, core, instr, n: int) -> None:
+    def post_step(self, core, instr, n: int) -> None:
         """Record ``n`` elements just executed by ``instr``."""
         self._plans[id(instr)](instr, n)
 
@@ -672,6 +676,40 @@ class ScheduleRecorder:
         nid = self._new(OP_ADD, DT_F32, prev, node)
         self.obj_node[(id(obj), attr)] = nid
         return nid
+
+    # ------------------------------------------------------------------
+    # ReduceCore tap (see repro.wse.allreduce.ReduceCore._advance)
+    # ------------------------------------------------------------------
+    def reduce_reset(self, core) -> None:
+        """Re-arming is where each run's fresh operand enters: the
+        accumulator's initial value becomes the next slot of the
+        "values" extern vector (slots issue in reset-call order, which
+        AllReduceEngine keeps row-major)."""
+        self.on_obj_init(core, "acc", core.acc, extern="values")
+
+    def reduce_recv(self, core, channel, word, is_result: bool) -> None:
+        """Unwrap one arrival, apply it to ``core`` exactly as the plain
+        path does, and extend the fp32 accumulation chain."""
+        f32 = np.float32
+        if type(word) is TracedWord:
+            value, node = word.v, word.t
+        else:  # un-instrumented producer: keep running, void the tape
+            value = word
+            self.fail(
+                f"reduce core ({core.x},{core.y}) received an "
+                f"unattributed word on channel {channel}"
+            )
+            node = self.on_obj_init(core, "_stray", f32(value))
+        if is_result:
+            core.result = f32(value)
+            self.obj_set(core, "result", node)
+        else:
+            core.acc = f32(core.acc + f32(value))
+            self.obj_add32(core, "acc", node)
+
+    def reduce_send(self, core) -> TracedWord:
+        """The outgoing word, stamped with the chain's current node."""
+        return TracedWord(float(core.acc), self.obj_get(core, "acc"))
 
     # ------------------------------------------------------------------
     # Finalize

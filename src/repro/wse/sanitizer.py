@@ -32,9 +32,11 @@ contexts are not ordered by those edges raise :class:`FabricRaceError`
 naming both instructions, the array, and the element index.
 
 The sanitizer observes and never writes: a sanitized run is bit-identical
-to an unsanitized one.  The engine hot path pays a single
-``sanitizer is None`` test (see :meth:`repro.wse.core.Core.step`), like
-the observability hook; all tracking lives on the sanitized branch.
+to an unsanitized one.  It is one of the observers a core drives from
+its instrumented step (:meth:`repro.wse.core.Core._step_hooked`); the
+plain :meth:`~repro.wse.core.Core.step` pays one ``_hooks is None``
+test while nothing is attached.  A profiler composes with it; a schedule
+recorder refuses to attach next to it.
 Accesses performed outside vector instructions — task bodies poking
 arrays directly, host code between runs — are invisible to the shadow
 state, exactly as they are to the static pass.
@@ -169,19 +171,21 @@ class RaceSanitizer:
             self._carrier.setdefault(id(core), set()).update(self._all_ids)
 
     # ------------------------------------------------------------------
-    # Core hooks (called from the sanitized step path)
+    # Core hooks (``Core.launch`` and the Core._step_hooked protocol)
     # ------------------------------------------------------------------
     def on_launch(self, core, instr, thread) -> None:
         """``Core.launch`` hook.  Background launches start executing
         immediately; main-queue entries start when they reach the head
-        (:meth:`on_main_head`), where the serialized predecessor's clock
-        is known."""
+        (:meth:`pre_step`), where the serialized predecessor's clock is
+        known."""
         if thread is not None:
             self._start(core, instr, thread)
 
-    def on_main_head(self, core, head) -> None:
-        if id(head) not in self._ctx:
-            self._start(core, head, "main")
+    def pre_step(self, core, instr, slot) -> None:
+        """Start the epoch of an instruction that has none: a main-queue
+        entry stepping at the head for the first time."""
+        if id(instr) not in self._ctx:
+            self._start(core, instr, slot)
 
     def on_dispatch(self, core, task) -> None:
         """Scheduler dispatch hook: fold the task's pending activation
@@ -325,8 +329,8 @@ class ShadowNumerics:
 
     Duck-types the :class:`RaceSanitizer` attach/hook interface, so
     ``fabric.attach_sanitizer(ShadowNumerics(fabric))`` reuses the same
-    one-``is None``-test engine branch.  While attached, every vector
-    instruction steps through the engine's canonical per-element path
+    core hooks.  While attached, every vector instruction steps
+    through the engine's canonical per-element path
     (numerics of the primary run are **bit-identical** to an unshadowed
     run — the shadow only observes), and each element is re-evaluated in
     fp64 on shadow state:
@@ -434,17 +438,15 @@ class ShadowNumerics:
         self._needs_resync = True
 
     # ------------------------------------------------------------------
-    # Core hooks (same schedule as RaceSanitizer)
+    # Core hooks (same schedule as RaceSanitizer; no ``on_finish``:
+    # nothing to retire, shadow state lives on the targets)
     # ------------------------------------------------------------------
     def on_launch(self, core, instr, thread) -> None:
         self._install(core, instr)
 
-    def on_main_head(self, core, head) -> None:
-        if id(head) not in self._wrapped:
-            self._install(core, head)
-
-    def on_finish(self, core, instr, slot) -> None:
-        pass  # nothing to retire: shadow state lives on the targets
+    def pre_step(self, core, instr, slot) -> None:
+        if id(instr) not in self._wrapped:
+            self._install(core, instr)
 
     # ------------------------------------------------------------------
     # Re-sync (run start) and error recording
@@ -704,9 +706,9 @@ class ShadowNumerics:
                 twin[idx] = twin[idx] + w
 
     # ------------------------------------------------------------------
-    # ReduceCore taps (see repro.wse.allreduce)
+    # ReduceCore tap (see repro.wse.allreduce.ReduceCore._advance)
     # ------------------------------------------------------------------
-    def on_reduce_reset(self, core) -> None:
+    def reduce_reset(self, core) -> None:
         """``ReduceCore.reset``: the host armed a fresh input value."""
         self._resync_if_needed()
         self._reduce_shadow[id(core)] = float(core.acc)
@@ -716,18 +718,29 @@ class ShadowNumerics:
         got = self._reduce_shadow.get(id(core))
         return float(core.acc) if got is None else got
 
-    def on_reduce_add(self, core, sval: float) -> None:
+    def reduce_recv(self, core, channel, word, is_result: bool) -> None:
+        """Unwrap one arrival, apply it to ``core`` exactly as the plain
+        path does, and carry its fp64 shadow along: a partial joins the
+        shadow sum, the broadcast result records its realized error."""
+        if type(word) is _ShadowWord:
+            value, sval = word.v, word.s
+        else:  # un-instrumented producer: keep running, flag the gap
+            value = sval = float(word)
+            self._gap()
+        if is_result:
+            core.result = np.float32(value)
+            self._record(core, "scalar", _SCALAR_NAME,
+                         _abs_err(float(core.result), sval))
+            return
+        core.acc = np.float32(core.acc + np.float32(value))
         self._reduce_shadow[id(core)] = self.reduce_shadow(core) + sval
         self.elements_shadowed += 1
         if self._metrics is not None:
             self._m_elems.inc()
 
-    def on_reduce_result(self, core, primary: float, sval: float) -> None:
-        self._record(core, "scalar", _SCALAR_NAME, _abs_err(primary, sval))
-
-    def on_stray_word(self, core, channel, value: float) -> float:
-        self._gap()
-        return value
+    def reduce_send(self, core) -> _ShadowWord:
+        """The outgoing word: the fp32 partial paired with its shadow."""
+        return _ShadowWord(float(core.acc), self.reduce_shadow(core))
 
 
 def _abs_err(primary: float, shadow: float) -> float:

@@ -14,7 +14,9 @@ The only permitted difference is wall-clock speed.  These tests pin
 that contract on randomized workloads (both SpMV mappings, the two-sum
 task variant, BLAS, AllReduce, and a full BiCGStab solve), plus the
 satellite behaviours that ride on the engine: per-destination fanout
-accounting and the immediate deadlock diagnosis in :meth:`Fabric.run`.
+accounting, the immediate deadlock diagnosis in :meth:`Fabric.run`, and
+observer composition (every legal set of sanitizer, recorder and
+profiler leaves the run bit-identical).
 """
 
 import numpy as np
@@ -28,11 +30,15 @@ from repro.kernels import (
     run_spmv2d_des,
     run_spmv_des,
 )
+from repro.kernels.spmv3d import SpmvEngine
+from repro.obs import CycleProfiler
 from repro.problems import Stencil7, Stencil9
 from repro.wse import CS1, Core, Fabric, FabricDeadlockError, Port
 from repro.wse import dsr
 from repro.wse.allreduce import AllReduceEngine, simulate_allreduce
 from repro.wse.dsr import FabricRx, Instruction, MemCursor
+from repro.wse.replay import RecordingError, ScheduleRecorder
+from repro.wse.sanitizer import ShadowNumerics
 
 RNG = np.random.default_rng(7)
 
@@ -340,3 +346,81 @@ class TestDeadlockDiagnosis:
     def test_deadlock_error_is_runtime_error(self):
         # Callers catching the old RuntimeError keep working.
         assert issubclass(FabricDeadlockError, RuntimeError)
+
+
+# ----------------------------------------------------------------------
+# Observer composition: every legal observer set is bit-identical
+# ----------------------------------------------------------------------
+OBSERVER_SETS = [
+    (), ("race",), ("shadow",), ("recorder",), ("profiler",),
+    ("race", "profiler"), ("shadow", "profiler"), ("recorder", "profiler"),
+]
+
+
+def _run_observed(kernel, observers):
+    """One run of ``kernel`` with ``observers`` attached.  Returns the
+    observable state (result bytes, cycles, per-router words, per-core
+    elements) and the profiler taxonomy (None when unprofiled)."""
+    # The recorder rides on the replay engine's first (recorded live) run.
+    opts = RunOptions(engine="replay" if "recorder" in observers else "active")
+    if kernel == "spmv":
+        op = _op3d((3, 3, 8), 5)
+        v = 0.1 * np.random.default_rng(5).standard_normal(op.shape)
+        eng = SpmvEngine(op, options=opts)
+
+        def run():
+            return eng.run(v)[0]
+    else:
+        eng = AllReduceEngine(5, 3, options=opts)
+        values = np.random.default_rng(5).standard_normal((3, 5))
+
+        def run():
+            eng.reduce(values)
+            return np.array([c.result for c in eng.cores], dtype=np.float32)
+    fabric = eng.fabric
+    prof = (CycleProfiler(kernel, fabric).attach()
+            if "profiler" in observers else None)
+    if "race" in observers:
+        race = fabric.attach_sanitizer()
+    if "shadow" in observers:
+        shadow = fabric.attach_sanitizer(ShadowNumerics(fabric))
+    result = run()
+    # Each observer really observed something.
+    if "race" in observers and kernel == "spmv":
+        assert race.instructions_tracked > 0
+    if "shadow" in observers:
+        assert shadow.elements_shadowed > 0
+        assert shadow.stream_gaps == 0  # every word carried its shadow
+    if "recorder" in observers:
+        assert eng.replay.records == 1
+    cores = [c for row in fabric.cores for c in row if c is not None]
+    state = (
+        np.asarray(result).tobytes(),
+        fabric.cycle,
+        [r.words_moved for row in fabric.routers for r in row],
+        [getattr(c, "elements_processed", None) for c in cores],
+    )
+    return state, None if prof is None else prof.taxonomy()
+
+
+class TestObserverComposition:
+    @pytest.mark.parametrize("kernel", ["spmv", "allreduce"])
+    def test_every_legal_observer_set_is_bit_identical(self, kernel):
+        runs = {obs: _run_observed(kernel, obs) for obs in OBSERVER_SETS}
+        base_state, _ = runs[()]
+        taxonomies = []
+        for obs, (state, taxonomy) in runs.items():
+            assert state == base_state, obs
+            if taxonomy is not None:
+                taxonomies.append(taxonomy)
+        assert len(taxonomies) == 4
+        assert all(t == taxonomies[0] for t in taxonomies)
+        busy = sum(t["busy"] for t in taxonomies[0].values())
+        assert busy > 0
+
+    def test_recorder_refuses_an_attached_sanitizer(self):
+        fabric, _programs = build_spmv_fabric(
+            _op3d((2, 2, 4), 1), np.zeros((2, 2, 4)))
+        fabric.attach_sanitizer()
+        with pytest.raises(RecordingError, match="sanitizer"):
+            ScheduleRecorder(fabric).attach()

@@ -54,32 +54,59 @@ def _spmv_op(shape=(3, 3, 8)):
 
 # ----------------------------------------------------------------------
 class TestConservation:
-    def test_spmv_active(self):
-        obs = ObsSession(profile=True)
-        eng = SpmvEngine(_spmv_op(),
-                         options=RunOptions(engine="active", obs=obs))
-        v = 0.1 * RNG.standard_normal(eng.op.shape)
-        eng.run(v)
-        eng.run(v)
-        _assert_conserved(obs.profiles["spmv"])
+    """Each live case runs with and without the race sanitizer: the
+    sanitizer and the profiler are both observers of the same step, so
+    the sanitized taxonomy must equal the plain one tile by tile."""
 
-    def test_allreduce_active(self):
-        eng = AllReduceEngine(5, 3, options=RunOptions(engine="active"))
-        obs = ObsSession(profile=True)
-        obs.observe_fabric("allreduce", eng.fabric)
-        values = np.arange(15, dtype=np.float64).reshape(3, 5)
-        eng.reduce(values)
-        prof = obs.profiles["allreduce"]
+    @staticmethod
+    def _check(profile_run, sanitize):
+        prof = profile_run(sanitize)
         _assert_conserved(prof)
+        if sanitize:
+            assert prof.taxonomy() == profile_run(False).taxonomy()
+        return prof
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_spmv_active(self, sanitize):
+        op = _spmv_op()
+        v = 0.1 * np.random.default_rng(11).standard_normal(op.shape)
+
+        def profile_run(sanitize):
+            obs = ObsSession(profile=True)
+            eng = SpmvEngine(op, options=RunOptions(
+                engine="active", sanitize=sanitize, obs=obs))
+            eng.run(v)
+            eng.run(v)
+            return obs.profiles["spmv"]
+
+        prof = self._check(profile_run, sanitize)
+        assert prof.totals()["busy"] > 0
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_allreduce_active(self, sanitize):
+        def profile_run(sanitize):
+            eng = AllReduceEngine(5, 3, options=RunOptions(
+                engine="active", sanitize=sanitize))
+            obs = ObsSession(profile=True)
+            obs.observe_fabric("allreduce", eng.fabric)
+            eng.reduce(np.arange(15, dtype=np.float64).reshape(3, 5))
+            return obs.profiles["allreduce"]
+
+        prof = self._check(profile_run, sanitize)
         # A reduce genuinely waits on upstream partials somewhere.
         assert prof.totals()["wait_rx"] > 0
 
-    def test_reference_engine(self):
-        eng = AllReduceEngine(4, 3, options=RunOptions(engine="reference"))
-        obs = ObsSession(profile=True)
-        obs.observe_fabric("allreduce", eng.fabric)
-        eng.reduce(np.ones((3, 4)))
-        _assert_conserved(obs.profiles["allreduce"])
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_reference_engine(self, sanitize):
+        def profile_run(sanitize):
+            eng = AllReduceEngine(4, 3, options=RunOptions(
+                engine="reference", sanitize=sanitize))
+            obs = ObsSession(profile=True)
+            obs.observe_fabric("allreduce", eng.fabric)
+            eng.reduce(np.ones((3, 4)))
+            return obs.profiles["allreduce"]
+
+        self._check(profile_run, sanitize)
 
     def test_solver_both_fabrics(self):
         sys_ = momentum_system((6, 6, 8), reynolds=50.0, dt=0.02)
