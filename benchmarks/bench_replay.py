@@ -22,7 +22,12 @@ recording happens) and one measured solve; the headline
 and active.  The equivalence block asserts, across all three engines:
 bit-identical solution vectors, identical residual histories, identical
 per-kernel cycle counts, and identical per-link word counts on every
-router of both fabrics.  Any mismatch exits non-zero.
+router of both fabrics, identical per-tile state after the measured
+solve (core element/active-cycle counters, FIFO push totals and
+high-water marks, completion flags, every ReduceCore's ``acc`` and
+``result``), and identical ``FabricStats`` between active and replay.
+Any mismatch exits non-zero.  Each replay session also reports the mean
+host milliseconds of one replayed call in the measured solve.
 
 Run directly (``python benchmarks/bench_replay.py``) or via
 ``make bench-smoke``; ``--quick`` shrinks the mesh for CI smoke runs
@@ -42,6 +47,7 @@ import numpy as np
 from repro.api import RunOptions
 from repro.kernels.bicgstab_des import DESBiCGStab
 from repro.problems import momentum_system
+from repro.wse.allreduce import ReduceCore
 
 SHAPE = (48, 48, 2)
 QUICK_SHAPE = (6, 6, 8)
@@ -63,6 +69,56 @@ def _link_words(solver: DESBiCGStab) -> dict:
             for x in range(fabric.width)
         }
     return out
+
+
+def _tile_state(solver: DESBiCGStab) -> dict:
+    """Every per-tile counter, flag and object attribute a replay writes,
+    on both persistent fabrics: core ``elements_processed`` /
+    ``cycles_active``, FIFO ``total_pushed`` / ``high_water``,
+    ``core.flags``, and each ReduceCore's ``acc`` / ``result`` bits."""
+    out = {}
+    for label, eng in (("spmv", solver._spmv_eng),
+                       ("allreduce", solver._ar_eng)):
+        if eng is None:
+            continue
+        fabric = eng.fabric
+        tiles = {}
+        for y in range(fabric.height):
+            for x in range(fabric.width):
+                core = fabric.core(x, y)
+                if isinstance(core, ReduceCore):
+                    tiles[f"{x},{y}"] = (
+                        core.acc.tobytes(),
+                        None if core.result is None else core.result.tobytes())
+                elif core is not None:
+                    tiles[f"{x},{y}"] = (
+                        core.elements_processed, core.cycles_active,
+                        dict(core.flags),
+                        {name: (f.total_pushed, f.high_water)
+                         for name, f in core.fifos.items()})
+        out[label] = tiles
+    return out
+
+
+def _fabric_stats(solver: DESBiCGStab) -> dict:
+    """``FabricStats`` and ``total_words_moved`` of both fabrics."""
+    out = {}
+    for label, eng in (("spmv", solver._spmv_eng),
+                       ("allreduce", solver._ar_eng)):
+        if eng is not None:
+            st = eng.fabric.stats
+            out[label] = (
+                st.cycles, st.skipped_cycles, st.active_router_cycles,
+                st.active_core_cycles, st.peak_active_routers,
+                st.peak_active_cores, eng.fabric.total_words_moved)
+    return out
+
+
+def _sessions(solver: DESBiCGStab) -> dict:
+    return {label: eng.replay
+            for label, eng in (("spmv", solver._spmv_eng),
+                               ("allreduce", solver._ar_eng))
+            if eng is not None and eng.replay is not None}
 
 
 def _fabric_cycles(solver: DESBiCGStab) -> int:
@@ -99,10 +155,16 @@ def run_engine(engine: str, op, b) -> dict:
         "link_words": _link_words(solver),
     }
     before = _fabric_cycles(solver)
+    replayed = {label: (sess.replays, sess.replay_ns)
+                for label, sess in _sessions(solver).items()}
     t0 = time.perf_counter()
     res2 = solver.solve(b, rtol=RTOL, maxiter=MAXITER)
     wall = time.perf_counter() - t0
     cycles = _fabric_cycles(solver) - before
+    # After the measured solve, which replays every kernel under
+    # engine="replay": the state its accounting left behind.
+    snap["tile_state"] = _tile_state(solver)
+    snap["fabric_stats"] = _fabric_stats(solver)
     stats = {
         "wall_seconds": round(wall, 4),
         "setup_seconds": round(setup, 4),
@@ -112,25 +174,28 @@ def run_engine(engine: str, op, b) -> dict:
     }
     if engine == "replay":
         sessions = {}
-        for label, eng in (("spmv", solver._spmv_eng),
-                           ("allreduce", solver._ar_eng)):
-            sess = getattr(eng, "replay", None) if eng is not None else None
-            if sess is not None:
-                sessions[label] = {
-                    "records": sess.records,
-                    "replays": sess.replays,
-                    "fallbacks": sess.fallbacks,
-                    "invalidations": sess.invalidations,
-                    "schedule_nodes": (
-                        sess.schedule.n_nodes
-                        if sess.schedule is not None else 0
-                    ),
-                    "schedule_groups": (
-                        len(sess.schedule.groups)
-                        if sess.schedule is not None else 0
-                    ),
-                    "diagnostics": list(sess.diagnostics),
-                }
+        for label, sess in _sessions(solver).items():
+            n0, ns0 = replayed[label]
+            n = sess.replays - n0
+            sessions[label] = {
+                "records": sess.records,
+                "replays": sess.replays,
+                # Host time of one replayed call in the measured solve.
+                "mean_replay_ms": (
+                    round((sess.replay_ns - ns0) / n / 1e6, 3)
+                    if n else None),
+                "fallbacks": sess.fallbacks,
+                "invalidations": sess.invalidations,
+                "schedule_nodes": (
+                    sess.schedule.n_nodes
+                    if sess.schedule is not None else 0
+                ),
+                "schedule_groups": (
+                    len(sess.schedule.groups)
+                    if sess.schedule is not None else 0
+                ),
+                "diagnostics": list(sess.diagnostics),
+            }
         stats["sessions"] = sessions
         stats["note"] = (
             "first solve records the event schedule on the live active "
@@ -152,6 +217,13 @@ def _equivalence(snaps: dict) -> dict:
             base["kernel_cycles"] == s["kernel_cycles"])
         eq[f"link_words_identical_{engine}"] = (
             base["link_words"] == s["link_words"])
+        eq[f"tile_state_identical_{engine}"] = (
+            base["tile_state"] == s["tile_state"])
+    # The reference sweep counts every tile each cycle and never skips,
+    # so FabricStats compare between the two engines that share the
+    # active-set stepper.
+    eq["fabric_stats_identical_replay"] = (
+        snaps["active"]["fabric_stats"] == snaps["replay"]["fabric_stats"])
     return eq
 
 

@@ -270,12 +270,20 @@ class ReduceCore:
         value: float,
         value_range: tuple[float, float] = (-64.0, 64.0),
         tolerance: float = 0.05,
+        home=None,
     ):
         self.x, self.y = x, y
         self.role = _role_of(x, y, width, height)
         self.program_decl = _reduce_decl(self.role, value_range, tolerance)
-        self.acc = np.float32(value)
-        self.result: np.float32 | None = None
+        #: ``(acc, result, has_result, k)``: this core's accumulator and
+        #: result live in cell ``k`` of float32 arrays (and a bool
+        #: has-result mask) it may share with its whole fabric — see
+        #: :class:`AllReduceEngine`.  A standalone core owns 1-cell arrays.
+        if home is None:
+            home = (np.zeros(1, np.float32), np.zeros(1, np.float32),
+                    np.zeros(1, bool), 0)
+        self._accs, self._results, self._has_result, self._k = home
+        self.acc = value
         self._inbox: deque = deque()
         self._tx: deque = deque()
         self._counts = {CH_ROW: 0, CH_COL: 0, CH_GATHER: 0}
@@ -299,9 +307,41 @@ class ReduceCore:
     def _rehook(self) -> None:
         self._tap = self._shadow if self._shadow is not None else self._recorder
 
+    @property
+    def acc(self) -> np.float32:
+        """The fp32 running partial sum."""
+        return self._accs[self._k]
+
+    @acc.setter
+    def acc(self, value) -> None:
+        self._accs[self._k] = value
+
+    @property
+    def result(self) -> np.float32 | None:
+        """The broadcast sum once it has arrived, else None."""
+        k = self._k
+        return self._results[k] if self._has_result[k] else None
+
+    @result.setter
+    def result(self, value) -> None:
+        k = self._k
+        if value is not None:
+            self._results[k] = value
+        self._has_result[k] = value is not None
+
+    def replay_home(self, attr: str):
+        """Where a replay writes ``attr``'s final value: ``(array,
+        cell, mask)``, with ``mask[cell]`` set too when not None (the
+        replay scatters these with the tile-memory scatters)."""
+        if attr == "acc":
+            return self._accs, self._k, None
+        if attr == "result":
+            return self._results, self._k, self._has_result
+        return None
+
     def reset(self, value: float) -> None:
         """Re-arm the core for another collective on the same fabric."""
-        self.acc = np.float32(value)
+        self.acc = value
         self.result = None
         self._inbox.clear()
         self._tx.clear()
@@ -363,6 +403,7 @@ class ReduceCore:
         tap = self._tap
         inbox = self._inbox
         counts = self._counts
+        accs, k = self._accs, self._k
         work = len(inbox)
         while inbox:
             channel, word = inbox.popleft()
@@ -370,9 +411,9 @@ class ReduceCore:
             if tap is not None:
                 tap.reduce_recv(self, channel, word, is_result)
             elif is_result:
-                self.result = np.float32(word)
+                self.result = word
             else:
-                self.acc = np.float32(self.acc + np.float32(word))
+                accs[k] = accs[k] + np.float32(word)
             if not is_result:
                 counts[channel] += 1
         r = self.role
@@ -387,10 +428,10 @@ class ReduceCore:
             else:
                 channel, ready = CH_BCAST, ready and counts[CH_GATHER] >= 3
         if ready and not self._sent[channel]:
-            word = float(self.acc) if tap is None else tap.reduce_send(self)
+            word = float(accs[k]) if tap is None else tap.reduce_send(self)
             if channel == CH_BCAST:
                 if tap is None:
-                    self.result = np.float32(word)
+                    self.result = word
                 else:
                     tap.reduce_recv(self, channel, word, True)
             self._tx.append((channel, word))
@@ -399,7 +440,7 @@ class ReduceCore:
 
     @property
     def idle(self) -> bool:
-        return self.result is not None and not self._tx and not self._inbox
+        return bool(self._has_result[self._k]) and not self._tx and not self._inbox
 
 
 class AllReduceEngine:
@@ -425,10 +466,21 @@ class AllReduceEngine:
         self.height = height
         self.fabric = Fabric(width, height, queue_capacity)
         compile_to_fabric(allreduce_pattern(width, height), self.fabric)
+        n = width * height
+        #: Every core's accumulator, result and has-result flag, in
+        #: row-major core order: the cores view these, so a replay
+        #: scatters their finals in one op per array and :meth:`reduce`
+        #: checks that all cores agree in one comparison.
+        self.accs = np.zeros(n, np.float32)
+        self.results = np.zeros(n, np.float32)
+        self.has_result = np.zeros(n, bool)
         self.cores: list[ReduceCore] = []
         for y in range(height):
             for x in range(width):
-                core = ReduceCore(x, y, width, height, 0.0)
+                core = ReduceCore(
+                    x, y, width, height, 0.0,
+                    home=(self.accs, self.results, self.has_result,
+                          len(self.cores)))
                 self.fabric.attach_core(x, y, core)
                 self.cores.append(core)
         if opts.engine != "reference":
@@ -461,25 +513,25 @@ class AllReduceEngine:
                 f"values shape {values.shape} does not match the "
                 f"({self.height}, {self.width}) fabric"
             )
-        cores = self.cores
         fabric = self.fabric
+        has_result = self.has_result
+        results = self.results
         start = fabric.cycle
         run_persistent(
             fabric, self.replay, self.options,
             # quiescent() first: O(1) rejection while words are in flight.
-            lambda f: f.quiescent()
-            and all(c.result is not None for c in cores),
+            lambda f: f.quiescent() and has_result.all(),
             50 * (self.width + self.height) + 1000,
             arm=lambda: self._arm(values),
             externs=lambda: {"values": values.ravel()},
         )
-        results = {float(c.result) for c in cores}
-        if len(results) != 1:
+        if (results != results[0]).any():
             raise AssertionError(
-                f"AllReduce delivered differing results: {results}"
+                "AllReduce delivered differing results: "
+                f"{set(results.tolist())}"
             )
         self.runs += 1
-        return results.pop(), fabric.cycle - start
+        return float(results[0]), fabric.cycle - start
 
 
 def simulate_allreduce(

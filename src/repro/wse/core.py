@@ -24,6 +24,7 @@ import numpy as np
 
 from .analyze.spec import ProgramDecl
 from .config import MachineConfig
+from .counters import replayed_counter
 from .dsr import (
     FabricRx,
     FabricTx,
@@ -64,6 +65,13 @@ class Core:
     recorder = observer_attr("recorder")
     profiler = observer_attr("profiler")
 
+    #: Cycle statistics, live and replayed (see :mod:`repro.wse.counters`):
+    #: :meth:`step` writes the live slots ``_elements`` / ``_cycles``.
+    elements_processed = replayed_counter(
+        "_elements", 0, doc="Vector elements processed.")
+    cycles_active = replayed_counter(
+        "_cycles", 1, doc="Cycles in which at least one element was processed.")
+
     def __init__(self, x: int, y: int, config: MachineConfig):
         self.x = x
         self.y = y
@@ -88,9 +96,10 @@ class Core:
         #: Injection queues: channel -> deque polled by the router.
         self._tx: dict[int, deque] = {}
         self.tx_capacity = 8
-        #: Cycle statistics.
-        self.elements_processed = 0
-        self.cycles_active = 0
+        self._elements = 0
+        self._cycles = 0
+        self._shares = None
+        self._row = -1
         #: Set by completion-tree terminal tasks; polled by simulations.
         self.flags: dict[str, bool] = {}
         #: Hardware FIFOs created via :meth:`make_fifo`, by name.
@@ -265,9 +274,9 @@ class Core:
         # Tasks activated by this cycle's completions run next cycle,
         # matching the hardware's schedule-on-event behaviour.
         self._stepping = False
-        self.elements_processed += processed
+        self._elements += processed
         if processed:
-            self.cycles_active += 1
+            self._cycles += 1
         self._quiet = not (processed or ran or finished)
         return processed
 
@@ -325,9 +334,9 @@ class Core:
                         f(self, instr, slot)
                     self._fire(instr)
         self._stepping = False
-        self.elements_processed += processed
+        self._elements += processed
         if processed:
-            self.cycles_active += 1
+            self._cycles += 1
         quiet = not (processed or ran or finished)
         self._quiet = quiet
         for f in end:

@@ -54,6 +54,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .counters import ReplayedShares, replayed_counter
+
 __all__ = [
     "Port",
     "Router",
@@ -172,9 +174,15 @@ class Router:
     """One tile's router: static routes + per-(channel, port) queues."""
 
     __slots__ = ("x", "y", "queue_capacity", "routes", "queues",
-                 "words_moved", "_version", "_bindings", "_bindings_key",
-                 "_conflicts", "_core_in", "_touch", "_hot", "_hot_stale",
-                 "_binding_map")
+                 "_words", "_shares", "_row", "_version", "_on_topology",
+                 "_bindings", "_bindings_key", "_conflicts", "_core_in",
+                 "_touch", "_hot", "_hot_stale", "_binding_map")
+
+    words_moved = replayed_counter(
+        "_words", 0,
+        doc="Cumulative words delivered out of this router (one per "
+            "destination — a 1->3 fanout move counts 3), live and "
+            "replayed (see :mod:`repro.wse.counters`).")
 
     def __init__(self, x: int, y: int, queue_capacity: int = 8):
         self.x = x
@@ -184,12 +192,16 @@ class Router:
         self.routes: dict[tuple[int, str], tuple[str, ...]] = {}
         #: (channel, in_port) -> deque of words awaiting forwarding
         self.queues: dict[tuple[int, str], deque] = {}
-        #: Cumulative words delivered out of this router (one per
-        #: destination — a 1->3 fanout move counts 3).
-        self.words_moved = 0
+        #: Live-stepped part of :attr:`words_moved`, and the row of its
+        #: replayed share (bound by the first compiled schedule).
+        self._words = 0
+        self._shares = None
+        self._row = -1
         #: Bumped on any topology change (new route or new queue); the
-        #: fabric's cached bindings key off it.
+        #: fabric's cached bindings key off it.  The owning fabric sets
+        #: ``_on_topology`` to count changes fabric-wide.
         self._version = 0
+        self._on_topology = None
         self._bindings: list[_Binding] | None = None
         self._bindings_key = None
         self._conflicts = False
@@ -225,17 +237,22 @@ class Router:
                 f"already routed to {self.routes[key]}, cannot re-route to {outs}"
             )
         self.routes[key] = outs
-        self._version += 1
+        self._topology_changed()
 
     def queue_for(self, channel: int, in_port: str) -> deque:
         key = (int(channel), in_port)
         q = self.queues.get(key)
         if q is None:
             q = self.queues[key] = deque()
-            self._version += 1
+            self._topology_changed()
         if self._touch is not None:
             self._touch()
         return q
+
+    def _topology_changed(self) -> None:
+        self._version += 1
+        if self._on_topology is not None:
+            self._on_topology()
 
     def occupancy(self) -> int:
         """Words currently buffered in this router."""
@@ -315,6 +332,21 @@ class Fabric:
         self._stalled_cores: set[tuple[int, int]] = set()
         self._tx_cores: set[tuple[int, int]] = set()
         self._core_version = 0
+        #: Count of router topology changes (routes set, queues
+        #: created) over the fabric's lifetime: the replay cache's
+        #: routing token, read in O(1).
+        self._route_version = 0
+        #: Count of :meth:`step` calls (either live engine); a compiled
+        #: schedule re-applies its recorded ``core.flags`` only when
+        #: this moved since it last did, since only a live step runs the
+        #: tasks that set flags.
+        self._live_steps = 0
+        #: Replayed shares of the per-object counters (see
+        #: :mod:`repro.wse.counters`): router words; core elements and
+        #: active cycles; FIFO pushes and high-water marks.
+        self.replayed_routers = ReplayedShares(1)
+        self.replayed_cores = ReplayedShares(2)
+        self.replayed_fifos = ReplayedShares(2)
         self._prebound = False
         #: True once :meth:`quiescent` has proven the fabric inert; a
         #: repeat call (``skip_cycles`` after a replay) is then O(1).
@@ -331,7 +363,12 @@ class Fabric:
         ] = {}
         for y in range(height):
             for x in range(width):
-                self.routers[y][x]._touch = self._router_toucher(x, y)
+                router = self.routers[y][x]
+                router._touch = self._router_toucher(x, y)
+                router._on_topology = self._count_topology_change
+
+    def _count_topology_change(self) -> None:
+        self._route_version += 1
 
     def _router_toucher(self, x: int, y: int):
         coord = (y, x)
@@ -529,7 +566,7 @@ class Fabric:
                         queues[key] = deque()
                         created = True
                 if created:
-                    r._version += 1
+                    r._topology_changed()
         # Queue creation during binding only happens on the first pass;
         # the second pass rebinds routers it touched, and the third
         # verifies the fixed point.
@@ -718,7 +755,7 @@ class Fabric:
                 moves_append((q, q[0], b))
                 moved += b.n_dests
             if moved:
-                router.words_moved += moved
+                router._words += moved
             if not hot:
                 active_routers.discard(coord)
 
@@ -785,6 +822,7 @@ class Fabric:
         if self.engine == "reference":
             return self.step_reference()
         self._settled = False
+        self._live_steps += 1
         if not self._prebound:
             self.prebind()
         stats = self.stats
@@ -850,6 +888,7 @@ class Fabric:
         so the two engines may be interleaved on one fabric.
         """
         self._settled = False
+        self._live_steps += 1
         words = self._step_network_reference()
         elements = 0
         stats = self.stats
@@ -960,7 +999,7 @@ class Fabric:
                             dq = payload[0]
                             planned[id(dq)] = planned.get(id(dq), 0) + 1
                     moves.append((q, q[0], dests))
-                    router.words_moved += len(dests)
+                    router._words += len(dests)
 
         # Phase 2: apply.
         delivered = 0
@@ -1141,6 +1180,15 @@ class Fabric:
                 return self.run(max_cycles, until, on_cycle)
             finally:
                 self.detach_sanitizer()
+        # Drop routers left active with empty queues (by a binding pass
+        # or a previous run's last hop), so that every run of one
+        # program makes the same router visits — the counts a replay
+        # repeats from its recorded run.
+        routers = self.routers
+        active = self._active_routers
+        for coord in [c for c in active
+                      if not any(routers[c[0]][c[1]].queues.values())]:
+            active.discard(coord)
         step = self.step
         for _ in range(max_cycles):
             r = step()

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
+from .counters import replayed_counter
+
 __all__ = ["HardwareFifo"]
 
 
@@ -30,6 +32,12 @@ class HardwareFifo:
         to ``scheduler.activate(sum_task)``).
     """
 
+    #: Push statistics, live and replayed (see :mod:`repro.wse.counters`):
+    #: :meth:`push` writes the live slots ``_pushed`` / ``_high_water``.
+    total_pushed = replayed_counter("_pushed", 0, doc="Words ever pushed.")
+    high_water = replayed_counter(
+        "_high_water", 1, combine=max, doc="Deepest occupancy ever reached.")
+
     def __init__(self, name: str, capacity: int = 20, on_push: Callable[[], None] | None = None):
         if capacity <= 0:
             raise ValueError("FIFO capacity must be positive")
@@ -41,8 +49,10 @@ class HardwareFifo:
         #: analyzer reads (the callback itself is opaque).
         self.activates: str | None = None
         self._buf: deque = deque()
-        self.total_pushed = 0
-        self.high_water = 0
+        self._pushed = 0
+        self._high_water = 0
+        self._shares = None
+        self._row = -1
 
     def spec(self):
         """Freeze this FIFO's credit description for the analyzer.
@@ -85,9 +95,9 @@ class HardwareFifo:
         if n >= self.capacity:
             raise OverflowError(f"push to full FIFO {self.name!r}")
         buf.append(value)
-        self.total_pushed += 1
-        if n + 1 > self.high_water:
-            self.high_water = n + 1
+        self._pushed += 1
+        if n + 1 > self._high_water:
+            self._high_water = n + 1
         if self.on_push is not None:
             self.on_push()
 

@@ -15,11 +15,25 @@ their recorded dtypes before each op, so each vectorized op performs
 bit-identical IEEE arithmetic to the scalar loop it replaces — the same
 argument :class:`repro.wse.dsr.Instruction` makes for its batched step.
 
-Cycle/word accounting replays as recorded deltas: ``fabric.cycle``,
-``FabricStats``, per-router ``words_moved``, per-core counters, FIFO
-totals, and completion flags all land exactly where a live run would
-leave them, so engine-switch boundaries (``skip_cycles`` after a replay,
-a live run after an invalidation) observe a consistent fabric.
+Side effects cost a fixed number of NumPy ops, whatever the tile count:
+
+* final cell values scatter with one fancy-index op per backing buffer
+  (the SpMV's fabric-wide ``v``/``u`` planes; the AllReduce engine's
+  ``acc``/``result``/has-result arrays, which every ReduceCore views);
+* cycle/word accounting replays as recorded deltas.  ``fabric.cycle``,
+  ``FabricStats`` and ``total_words_moved`` are a few scalar adds; the
+  per-router ``words_moved``, per-core ``elements_processed`` /
+  ``cycles_active`` and per-FIFO ``total_pushed`` / ``high_water`` are
+  one update each of the fabric's replayed-share tables
+  (:mod:`repro.wse.counters`), which those attributes read through;
+* completion flags are re-applied only when the fabric stepped live
+  since the schedule last applied them (one integer compare otherwise).
+
+Everything lands exactly where a live run would leave it, so
+engine-switch boundaries (``skip_cycles`` after a replay, a live run
+after an invalidation) observe a consistent fabric.  One limit: a
+direct write to ``core.flags`` between two replays, with no live step
+in between, is not undone by the second replay.
 """
 
 from __future__ import annotations
@@ -128,8 +142,9 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
         entry[1].append(nid)
     scatters = list(_buffer_groups(tape.arrays, by_arr))
 
-    # Object finals (accumulators, ReduceCore acc/result) apply as one
-    # cast per dtype followed by a plain setattr loop.
+    # Object finals without a flat home (a one-shot dot kernel's
+    # ScalarAccumulator) apply as one cast per dtype plus a setattr per
+    # object; homed ones (ReduceCore acc/result) are already scatters.
     by_dt: dict[int, tuple[list, list, list]] = {}
     for obj, attr, nid, dt in tape.obj_finals:
         entry = by_dt.setdefault(dt, ([], [], []))
@@ -140,6 +155,22 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
         (DTYPES[dt], objs, attrs, np.asarray(nids, dtype=np.intp))
         for dt, (objs, attrs, nids) in by_dt.items()
     ]
+
+    # Counter deltas: one update of a fabric-wide share table per
+    # counter (repro.wse.counters), whatever the object count.
+    counters = []
+    for shares, deltas, updates in (
+        (fabric.replayed_routers, tape.router_deltas, (np.add,)),
+        (fabric.replayed_cores, tape.core_deltas, (np.add, np.add)),
+        (fabric.replayed_fifos, tape.fifo_deltas, (np.add, np.maximum)),
+    ):
+        if not deltas:
+            continue
+        objs, *columns = zip(*deltas)
+        rows = shares.rows(objs)
+        for col, (update, values) in enumerate(zip(updates, columns)):
+            counters.append((update, shares, rows, col,
+                             np.asarray(values, dtype=np.int64)))
 
     return CompiledSchedule(
         fabric=fabric,
@@ -163,10 +194,10 @@ def compile_tape(tape: RecordedTape, fabric) -> "CompiledSchedule":
         stats_deltas=tape.stats_deltas,
         peak_routers=tape.peak_routers,
         peak_cores=tape.peak_cores,
-        router_deltas=tape.router_deltas,
-        core_deltas=tape.core_deltas,
-        fifo_deltas=tape.fifo_deltas,
+        counters=counters,
         flag_finals=tape.flag_finals,
+        # The recording left the flags at their finals.
+        flags_applied_at=fabric._live_steps,
         extern_lengths=tape.extern_lengths,
         profile=getattr(tape, "profile", None),
     )
@@ -305,17 +336,14 @@ class CompiledSchedule:
         if st.peak_active_cores < self.peak_cores:
             st.peak_active_cores = self.peak_cores
         fabric.total_words_moved += self.d_total_words
-        for router, d in self.router_deltas:
-            router.words_moved += d
-        for core, de, dc in self.core_deltas:
-            core.elements_processed += de
-            core.cycles_active += dc
-        for fifo, dp, hw in self.fifo_deltas:
-            fifo.total_pushed += dp
-            if fifo.high_water < hw:
-                fifo.high_water = hw
-        for core, flags in self.flag_finals:
-            core.flags.update(flags)
+        for update, shares, rows, col, values in self.counters:
+            table = shares.table
+            table[rows, col] = update(table[rows, col], values)
+        if fabric._live_steps != self.flags_applied_at:
+            # Only live stepping moves flags off their finals.
+            for core, flags in self.flag_finals:
+                core.flags.update(flags)
+            self.flags_applied_at = fabric._live_steps
         obs = fabric.obs
         if obs is not None:
             fn = getattr(obs, "on_replay", None)

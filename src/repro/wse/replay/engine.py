@@ -28,6 +28,7 @@ live) lives in one place for every kernel.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from time import perf_counter_ns
 
 from ..analyze.schedule import prove_schedule_deterministic
 from .compile import CompiledSchedule, compile_tape
@@ -56,6 +57,8 @@ class ReplaySession:
         self._token = None
         self.records = 0
         self.replays = 0
+        #: Host nanoseconds spent in :meth:`replay`, all calls together.
+        self.replay_ns = 0
         self.fallbacks = 0
         self.invalidations = 0
         self._record_failures = 0
@@ -73,18 +76,15 @@ class ReplaySession:
         return self.proof.ok and self._record_failures < self.MAX_RECORD_FAILURES
 
     def _mutation_token(self):
-        """Cheap per-run summary of everything that can change the
-        static schedule: core attachments, router topology versions,
-        and the sanitizer epoch."""
+        """O(1) summary of everything that can change the static
+        schedule: core attachments, router topology changes (each
+        ``set_route`` / new queue bumps a fabric-wide count), and the
+        sanitizer epoch."""
         fabric = self.fabric
-        rv = 0
-        for row in fabric.routers:
-            for router in row:
-                rv += router._version
         return (
             fabric._core_version,
-            rv,
-            getattr(fabric, "_sanitize_epoch", 0),
+            fabric._route_version,
+            fabric._sanitize_epoch,
         )
 
     def valid(self) -> bool:
@@ -164,4 +164,7 @@ class ReplaySession:
         if schedule is None:
             raise RecordingError("no compiled schedule to replay")
         self.replays += 1
-        return schedule.execute(externs)
+        t0 = perf_counter_ns()
+        cycles = schedule.execute(externs)
+        self.replay_ns += perf_counter_ns() - t0
+        return cycles

@@ -31,6 +31,12 @@ and obs precedents:
 * component counters (``router.words_moved``, ``core.elements_processed``,
   FIFO totals, ``core.flags``) are snapshotted at attach and diffed at
   finalize — the same read-only surface ``FabricObserver.harvest`` uses.
+  The compiler turns the deltas into updates of the fabric's
+  replayed-share tables (:mod:`repro.wse.counters`);
+* object attributes with a flat home (``obj.replay_home(attr)``, the
+  AllReduce cores' ``acc``/``result``) are taped as ordinary cell writes
+  to that home at finalize, so they replay with the memory scatters;
+  other object finals stay one ``setattr`` per object.
 
 Graph invariant: every operand node id is strictly smaller than its
 consumer's id (values exist before use), so the compiler can levelize
@@ -755,10 +761,22 @@ class ScheduleRecorder:
                 flags = getattr(core, "flags", None)
                 if flags:
                     flag_finals.append((core, dict(flags)))
-        obj_finals = [
-            (obj, attr, self.obj_node[(id(obj), attr)], dt)
-            for (oid, attr), (obj, _a, dt) in self.obj_info.items()
-        ]
+        # Object attributes with a flat home (``replay_home``: the
+        # AllReduce cores' acc/result arrays) become ordinary cell
+        # writes, so they scatter with tile memory; the rest stay
+        # per-object finals.
+        obj_finals = []
+        for (oid, attr), (obj, _a, dt) in self.obj_info.items():
+            node = self.obj_node[(oid, attr)]
+            home = getattr(obj, "replay_home", None)
+            home = home(attr) if home is not None else None
+            if home is None:
+                obj_finals.append((obj, attr, node, dt))
+                continue
+            array, cell, mask = home
+            self._mem_write(array, cell, node)
+            if mask is not None:
+                self._mem_write(mask, cell, self._const(1.0, DT_F64))
         st = fabric.stats
         stats_deltas = [
             (f, getattr(st, f) - v0) for f, v0 in self._stats0.items()

@@ -15,8 +15,8 @@ Four suites:
   observer's ``on_skip``/``on_replay`` accounting stay consistent
   across live -> replay -> live transitions on one fabric timeline, and
   the cached quiescence answer is dropped by every path that adds work;
-* host cost — a replay's gathers, scatters and object-final batches
-  are a fixed count, independent of the fabric size, and
+* host cost — a replay's gathers, scatters, object finals and counter
+  updates are a fixed count, independent of the fabric size, and
   ``CompiledSchedule.check()`` still names the tile array and cell.
 """
 
@@ -33,7 +33,7 @@ from repro.kernels.spmv3d import SpmvEngine, run_spmv_des
 from repro.obs import ObsSession
 from repro.problems import Stencil7, Stencil9
 from repro.wse import Fabric, Port
-from repro.wse.allreduce import AllReduceEngine
+from repro.wse.allreduce import AllReduceEngine, ReduceCore
 from repro.wse.channels import tile_channel
 from repro.wse.dsr import Instruction, MemCursor
 from repro.wse.replay import RecordingError, ReplaySession
@@ -51,6 +51,36 @@ def _router_words(fabric):
         for y in range(fabric.height)
         for x in range(fabric.width)
     }
+
+
+def _full_state(fabric):
+    """Every piece of fabric state a replay's accounting writes: the
+    clock, ``FabricStats``, total and per-router words, per-core counters,
+    flags and FIFO totals, and each ReduceCore's ``acc``/``result`` bits."""
+    st = fabric.stats
+    state = {
+        "cycle": fabric.cycle,
+        "total_words_moved": fabric.total_words_moved,
+        "stats": {f: getattr(st, f) for f in (
+            "cycles", "skipped_cycles", "active_router_cycles",
+            "active_core_cycles", "peak_active_routers", "peak_active_cores")},
+    }
+    for y in range(fabric.height):
+        for x in range(fabric.width):
+            tile = {"words": fabric.router(x, y).words_moved}
+            core = fabric.core(x, y)
+            if isinstance(core, ReduceCore):
+                tile["acc"] = core.acc.tobytes()
+                tile["result"] = (None if core.result is None
+                                  else core.result.tobytes())
+            elif core is not None:
+                tile["elements"] = core.elements_processed
+                tile["cycles_active"] = core.cycles_active
+                tile["flags"] = dict(core.flags)
+                tile["fifos"] = {name: (f.total_pushed, f.high_water)
+                                 for name, f in core.fifos.items()}
+            state[(x, y)] = tile
+    return state
 
 
 def _memory_bytes(eng):
@@ -138,6 +168,32 @@ class TestReplayBitIdentity:
                       "active_core_cycles", "peak_active_routers",
                       "peak_active_cores"):
             assert getattr(sr, field) == getattr(sa, field), field
+
+    def test_full_state_spmv(self):
+        """Record -> replay -> replay leaves every router, core, FIFO and
+        flag counter exactly where three live runs do."""
+        shape = (3, 3, 8)
+        op = _op3d(shape, 5)
+        rng = np.random.default_rng(6)
+        eng_r = SpmvEngine(op, options=RunOptions(engine="replay"))
+        eng_a = SpmvEngine(op, options=RunOptions(engine="active"))
+        for _ in range(3):
+            v = (0.1 * rng.standard_normal(shape)).astype(np.float16)
+            eng_a.run(v)
+            eng_r.run(v)
+            assert _full_state(eng_r.fabric) == _full_state(eng_a.fabric)
+        assert (eng_r.replay.records, eng_r.replay.replays) == (1, 2)
+
+    def test_full_state_allreduce(self):
+        w, h = 5, 4
+        rng = np.random.default_rng(11)
+        eng_r = AllReduceEngine(w, h, options=RunOptions(engine="replay"))
+        eng_a = AllReduceEngine(w, h, options=RunOptions(engine="active"))
+        for _ in range(3):
+            vals = rng.random((h, w)).astype(np.float32)
+            assert eng_r.reduce(vals) == eng_a.reduce(vals)
+            assert _full_state(eng_r.fabric) == _full_state(eng_a.fabric)
+        assert (eng_r.replay.records, eng_r.replay.replays) == (1, 2)
 
     def test_spmv_replay_through_plane_views(self):
         """Each tile's ``v``/``u`` views one fabric-wide plane; pokes made
@@ -308,6 +364,21 @@ class TestReplayInvalidation:
         assert (t2, c2) == (t_live, c_live)
         assert sess.replays == 2
 
+    def test_queue_for_invalidates(self):
+        eng, sess, vals = self._engine(seed=7)
+        router = eng.fabric.router(1, 1)
+        # Handing out an existing queue changes no topology ...
+        key = next(iter(router.queues))
+        router.queue_for(*key)
+        assert sess.valid()
+        # ... creating one does.
+        router.queue_for(15, Port.CORE)
+        assert not sess.valid()
+        assert sess.invalidations == 1
+        ref = AllReduceEngine(4, 3, options=RunOptions(engine="active"))
+        assert eng.reduce(vals) == ref.reduce(vals)  # re-records live
+        assert sess.records == 2
+
     def test_attach_core_invalidates(self):
         eng, sess, vals = self._engine(seed=4)
         token = sess._mutation_token()
@@ -397,6 +468,57 @@ class TestEngineSwitchBoundaries:
         assert eng.replay.records == 2
         assert eng.fabric.quiescent()
         assert consistent()
+
+    @pytest.mark.parametrize("kernel", ["spmv", "allreduce"])
+    def test_full_state_across_invalidation(self, kernel):
+        """Replay, a ``set_route`` invalidation, a live re-record, then
+        replays again: the replayed fabric's full state tracks a live
+        engine's throughout — including a flag left different by a live
+        step between two replays."""
+        if kernel == "spmv":
+            shape = (3, 3, 8)
+            op = _op3d(shape, 13)
+            eng_r = SpmvEngine(op, options=RunOptions(engine="replay"))
+            eng_a = SpmvEngine(op, options=RunOptions(engine="active"))
+            rng = np.random.default_rng(14)
+
+            def run(eng):
+                return eng.run(v)
+        else:
+            shape = (4, 5)
+            eng_r = AllReduceEngine(5, 4, options=RunOptions(engine="replay"))
+            eng_a = AllReduceEngine(5, 4, options=RunOptions(engine="active"))
+            rng = np.random.default_rng(15)
+
+            def run(eng):
+                return eng.reduce(v.astype(np.float32))
+        engines = (eng_r, eng_a)
+        sess = eng_r.replay
+
+        def step_all(mutate):
+            for eng in engines:
+                mutate(eng)
+            res_r, res_a = run(eng_r), run(eng_a)
+            np.testing.assert_array_equal(res_r[0], res_a[0])
+            assert res_r[1] == res_a[1]
+            assert _full_state(eng_r.fabric) == _full_state(eng_a.fabric)
+
+        v = 0.1 * rng.standard_normal(shape)
+        step_all(lambda eng: None)  # record
+        step_all(lambda eng: None)  # replay
+        assert (sess.records, sess.replays) == (1, 1)
+        step_all(lambda eng: eng.fabric.router(0, 0).set_route(
+            15, Port.CORE, (Port.CORE,)))  # invalidate: live re-record
+        assert (sess.records, sess.replays, sess.invalidations) == (2, 1, 1)
+
+        def poke_flag_and_step(eng):
+            if kernel == "spmv":
+                eng.programs[1][2].core.flags["spmv_done"] = False
+            eng.fabric.step()
+
+        step_all(poke_flag_and_step)  # replay after a live step
+        step_all(lambda eng: eng.fabric.skip_cycles(3))  # replay
+        assert (sess.records, sess.replays, sess.fallbacks) == (2, 3, 0)
 
     def test_bicgstab_unified_timeline_with_obs(self):
         """The solver's _sync skip/step interleaving stays consistent
@@ -531,15 +653,49 @@ class TestReplayHostCost:
         assert len(small.mem_gathers) == len(large.mem_gathers) <= 2
         assert len(small.scatters) == len(large.scatters) <= 2
 
-    def test_allreduce_object_finals_one_batch_per_dtype(self):
+    def test_spmv_accounting_does_not_grow_with_fabric(self):
+        small, large = self._spmv_schedule(4), self._spmv_schedule(12)
+        # Router words, core elements/cycles, FIFO pushes/high-water:
+        # one share-table update each.
+        assert len(small.counters) == len(large.counters) == 5
+        assert len(small.stats_deltas) == len(large.stats_deltas)
+        assert small.obj_batches == large.obj_batches == []
+
+    def test_allreduce_object_finals_scatter_from_flat_arrays(self):
+        """ReduceCore acc/result finals are three scatters, into the
+        engine's acc, result and has-result arrays; the schedule keeps no
+        per-core object list."""
         w, h = 6, 5
         eng = AllReduceEngine(w, h, options=RunOptions(engine="replay"))
-        eng.reduce(np.random.default_rng(19).random((h, w)).astype(np.float32))
-        batches = eng.replay.schedule.obj_batches
-        dtypes = [dtype for dtype, _objs, _attrs, _nids in batches]
-        assert len(dtypes) == len(set(dtypes))
-        # Every ReduceCore's acc and result.
-        assert sum(len(objs) for _d, objs, _a, _n in batches) == 2 * w * h
+        vals = np.random.default_rng(19).random((h, w)).astype(np.float32)
+        total, cycles = eng.reduce(vals)
+        schedule = eng.replay.schedule
+        assert schedule.check() == []
+        assert schedule.obj_batches == []
+        assert schedule.flag_finals == []
+        targets = {id(target): sorted(flat)
+                   for target, flat, *_rest in schedule.scatters}
+        every_core = list(range(w * h))
+        assert targets == {id(eng.accs): every_core,
+                           id(eng.results): every_core,
+                           id(eng.has_result): every_core}
+
+        def objects(value):
+            if isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from objects(item)
+            else:
+                yield value
+
+        assert not any(isinstance(o, ReduceCore)
+                       for value in vars(schedule).values()
+                       for o in objects(value))
+        # A replay after clearing every core's finals restores them.
+        for core in eng.cores:
+            core.reset(0.0)
+        assert eng.reduce(vals) == (total, cycles)
+        assert eng.replay.replays == 1
+        assert eng.has_result.all() and (eng.results == total).all()
 
     def test_check_names_tile_array_and_cell(self):
         eng = SpmvEngine(_op3d((3, 3, 4), 2),
